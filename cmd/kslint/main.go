@@ -1,5 +1,5 @@
 // Command kslint runs the repo's custom static-analysis pass (see
-// internal/lint): eighteen analyzers that machine-check the determinism,
+// internal/lint): seventeen analyzers that machine-check the determinism,
 // locking, memory-lifetime, goroutine-lifecycle, transaction-protocol,
 // and observability invariants the reproduction's guarantees rest on. It
 // loads the module with go/parser + go/types only (no x/tools), so it
@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	kslint [-root dir] [-rules nosleep,errdrop,...] [-list] [-json]
+//	kslint [-root dir] [-rules wallclock,errdrop,...] [-list] [-json]
 //	       [-sarif] [-graph] [-timings] [-maxwall d]
 //
 // Default output is one line per finding — file:line:col: rule: message —
@@ -24,8 +24,9 @@
 // slow creep.
 //
 // Exit status 1 when any diagnostic survives the per-path allowlists and
-// //kslint:ignore / //kslint:file-ignore suppressions, 2 on
-// load/type-check failure, 3 on a -maxwall budget overrun.
+// //kslint:ignore / //kslint:file-ignore suppressions, 2 on an unknown
+// -rules name or a load/type-check failure, 3 on a -maxwall budget
+// overrun.
 package main
 
 import (

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -27,8 +28,10 @@ import (
 // Calls inside a FuncLit are attributed to the enclosing declared
 // function: the closure runs on the declarer's behalf (often on another
 // goroutine it spawned), so for may-reach summaries that attribution is
-// the sound one. Dynamic calls through plain function values are not
-// modeled; none of the invariants kslint checks flow through them today.
+// the sound one. A func literal bound at package level has no enclosing
+// declaration and so no node; callEdges resolves its calls on demand.
+// Dynamic calls through plain function values are not modeled; none of
+// the invariants kslint checks flow through them today.
 //
 // Every accessor returns deterministically ordered slices (sorted by
 // FuncID, then position) so diagnostics built from graph walks are
@@ -73,6 +76,10 @@ type CallGraph struct {
 	nodes   map[*types.Func]*CGNode
 	order   []*types.Func // nodes sorted by FuncID
 	callers map[*types.Func][]*types.Func
+	// concrete lists the named types interface dispatch resolves
+	// against; implCache memoizes each interface method's resolution.
+	concrete  []types.Type
+	implCache map[*types.Func][]*types.Func
 }
 
 // BuildCallGraph constructs the graph over every package of the module
@@ -81,10 +88,11 @@ type CallGraph struct {
 // only between them, which is what the dispatch tests rely on).
 func BuildCallGraph(mod *Module) *CallGraph {
 	g := &CallGraph{
-		module:  mod.Path,
-		fset:    mod.Fset,
-		nodes:   make(map[*types.Func]*CGNode),
-		callers: make(map[*types.Func][]*types.Func),
+		module:    mod.Path,
+		fset:      mod.Fset,
+		nodes:     make(map[*types.Func]*CGNode),
+		callers:   make(map[*types.Func][]*types.Func),
+		implCache: make(map[*types.Func][]*types.Func),
 	}
 	// Pass 1: nodes for every declared function.
 	for _, pkg := range mod.Pkgs {
@@ -93,7 +101,6 @@ func BuildCallGraph(mod *Module) *CallGraph {
 		}
 	}
 	// The named types interface dispatch resolves against.
-	var concrete []types.Type
 	for _, pkg := range mod.Pkgs {
 		scope := pkg.Pkg.Scope()
 		for _, name := range scope.Names() { // Names() is sorted
@@ -105,56 +112,14 @@ func BuildCallGraph(mod *Module) *CallGraph {
 			if !ok || types.IsInterface(named) {
 				continue
 			}
-			concrete = append(concrete, named)
+			g.concrete = append(g.concrete, named)
 		}
 	}
-	implCache := make(map[*types.Func][]*types.Func)
 	// Pass 2: edges.
-	for _, pkg := range mod.Pkgs {
-		for fn, decl := range pkg.Funcs {
-			node := g.nodes[fn]
-			if decl.Body == nil {
-				continue
-			}
-			ast.Inspect(decl.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				callee := calleeFunc(pkg.Info, call)
-				if callee == nil {
-					return true
-				}
-				callee = callee.Origin()
-				if iface := interfaceRecv(callee); iface != nil {
-					node.Edges = append(node.Edges, CGEdge{Callee: callee, Pos: call.Pos(), Dispatch: InterfaceCall})
-					impls, cached := implCache[callee]
-					if !cached {
-						impls = resolveImpls(callee, iface, concrete, g.nodes)
-						implCache[callee] = impls
-					}
-					for _, impl := range impls {
-						node.Edges = append(node.Edges, CGEdge{Callee: impl, Pos: call.Pos(), Dispatch: ImplCall})
-					}
-					return true
-				}
-				node.Edges = append(node.Edges, CGEdge{Callee: callee, Pos: call.Pos(), Dispatch: StaticCall})
-				return true
-			})
-		}
-	}
-	// Deterministic edge order, then the reverse adjacency.
 	for _, node := range g.nodes {
-		sort.Slice(node.Edges, func(i, j int) bool {
-			a, b := node.Edges[i], node.Edges[j]
-			if a.Pos != b.Pos {
-				return a.Pos < b.Pos
-			}
-			if a.Dispatch != b.Dispatch {
-				return a.Dispatch < b.Dispatch
-			}
-			return FuncID(a.Callee) < FuncID(b.Callee)
-		})
+		if node.Decl.Body != nil {
+			node.Edges = g.callEdges(node.Pkg.Info, node.Decl.Body)
+		}
 		g.order = append(g.order, node.Fn)
 	}
 	sort.Slice(g.order, func(i, j int) bool { return FuncID(g.order[i]) < FuncID(g.order[j]) })
@@ -168,6 +133,49 @@ func BuildCallGraph(mod *Module) *CallGraph {
 		}
 	}
 	return g
+}
+
+// callEdges resolves every call site under body (func literals
+// included), in deterministic order: by position, then dispatch kind,
+// then callee id.
+func (g *CallGraph) callEdges(info *types.Info, body ast.Node) []CGEdge {
+	var edges []CGEdge
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		callee := calleeFunc(info, call)
+		if callee == nil {
+			return true
+		}
+		callee = callee.Origin()
+		if iface := interfaceRecv(callee); iface != nil {
+			edges = append(edges, CGEdge{Callee: callee, Pos: call.Pos(), Dispatch: InterfaceCall})
+			impls, cached := g.implCache[callee]
+			if !cached {
+				impls = resolveImpls(callee, iface, g.concrete, g.nodes)
+				g.implCache[callee] = impls
+			}
+			for _, impl := range impls {
+				edges = append(edges, CGEdge{Callee: impl, Pos: call.Pos(), Dispatch: ImplCall})
+			}
+			return true
+		}
+		edges = append(edges, CGEdge{Callee: callee, Pos: call.Pos(), Dispatch: StaticCall})
+		return true
+	})
+	sort.Slice(edges, func(i, j int) bool {
+		a, b := edges[i], edges[j]
+		if a.Pos != b.Pos {
+			return a.Pos < b.Pos
+		}
+		if a.Dispatch != b.Dispatch {
+			return a.Dispatch < b.Dispatch
+		}
+		return FuncID(a.Callee) < FuncID(b.Callee)
+	})
+	return edges
 }
 
 // interfaceRecv returns the interface type fn is a method of, or nil.
@@ -246,16 +254,21 @@ func (g *CallGraph) FindPath(from *types.Func, hit func(*types.Func) bool, skip 
 	if start == nil {
 		return nil
 	}
+	return g.findPath(start.Edges, map[*types.Func]bool{start.Fn: true}, hit, skip)
+}
+
+// findPath is FindPath's search from a set of first-hop call edges;
+// visited holds the functions not to re-enter.
+func (g *CallGraph) findPath(first []CGEdge, visited map[*types.Func]bool, hit func(*types.Func) bool, skip func(*types.Func) bool) []PathStep {
 	type queued struct {
-		fn   *types.Func
-		path []PathStep
+		edges []CGEdge
+		path  []PathStep
 	}
-	visited := map[*types.Func]bool{start.Fn: true}
-	queue := []queued{{fn: start.Fn}}
+	queue := []queued{{edges: first}}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, e := range g.nodes[cur.fn].Edges {
+		for _, e := range cur.edges {
 			if skip != nil && skip(e.Callee) {
 				continue
 			}
@@ -265,11 +278,78 @@ func (g *CallGraph) FindPath(from *types.Func, hit func(*types.Func) bool, skip 
 			}
 			if next := g.nodes[e.Callee]; next != nil && !visited[e.Callee] {
 				visited[e.Callee] = true
-				queue = append(queue, queued{fn: e.Callee, path: step})
+				queue = append(queue, queued{edges: next.Edges, path: step})
 			}
 		}
 	}
 	return nil
+}
+
+// fixpoint is the one bottom-up summary loop the interprocedural rules
+// share: it calls step on every declared function in FuncID order, round
+// after round, until a round in which no call reports a change. Steps
+// must be monotone (summaries only grow), which is what makes the loop
+// terminate; the fixed order keeps first-found witnesses deterministic.
+func (g *CallGraph) fixpoint(step func(fn *types.Func, node *CGNode) bool) {
+	for changed := true; changed; {
+		changed = false
+		for _, fn := range g.order {
+			if step(fn, g.nodes[fn]) {
+				changed = true
+			}
+		}
+	}
+}
+
+// reachSet is the result of a multi-source breadth-first walk over the
+// module's declared functions: the functions reached, in visit order,
+// with parent links back to the root that reached each first.
+type reachSet struct {
+	g      *CallGraph
+	order  []*types.Func
+	in     map[*types.Func]bool
+	parent map[*types.Func]*types.Func
+}
+
+// reach walks from roots (in the given order) along call edges into
+// functions with a body, never entering one for which stop returns true
+// (stop may be nil). Ties break on edge order, so parent links — and the
+// chains rendered from them — are deterministic.
+func (g *CallGraph) reach(roots []*types.Func, stop func(*types.Func) bool) *reachSet {
+	r := &reachSet{g: g, in: make(map[*types.Func]bool), parent: make(map[*types.Func]*types.Func)}
+	enter := func(fn, from *types.Func) {
+		if r.in[fn] || (stop != nil && stop(fn)) {
+			return
+		}
+		if n := g.nodes[fn]; n == nil || n.Decl == nil {
+			return // stdlib and external leaves are checked at the edge, not entered
+		}
+		r.in[fn] = true
+		if from != nil {
+			r.parent[fn] = from
+		}
+		r.order = append(r.order, fn)
+	}
+	for _, fn := range roots {
+		enter(fn.Origin(), nil)
+	}
+	for i := 0; i < len(r.order); i++ {
+		fn := r.order[i]
+		for _, e := range g.nodes[fn].Edges {
+			enter(e.Callee.Origin(), fn)
+		}
+	}
+	return r
+}
+
+// chain renders the path from fn's root to fn: "root → … → fn".
+func (r *reachSet) chain(fn *types.Func) string {
+	var names []string
+	for f := fn; f != nil; f = r.parent[f] {
+		names = append(names, r.g.displayName(f))
+	}
+	slices.Reverse(names)
+	return strings.Join(names, " → ")
 }
 
 // FuncID is the stable, fully-qualified identity of a function used for
@@ -300,16 +380,20 @@ func FuncID(fn *types.Func) string {
 // displayName renders fn compactly for diagnostics: the module prefix is
 // trimmed so witness chains stay readable (internal/broker.Broker.fetch).
 func (g *CallGraph) displayName(fn *types.Func) string {
-	id := FuncID(fn)
+	return g.trimModule(FuncID(fn))
+}
+
+func (g *CallGraph) trimModule(id string) string {
 	if rest, ok := strings.CutPrefix(id, g.module+"/"); ok {
 		return rest
 	}
 	return strings.TrimPrefix(id, g.module+".")
 }
 
-// renderPath formats "A → B → C" for a witness chain starting at from.
-func (g *CallGraph) renderPath(from *types.Func, steps []PathStep) string {
-	parts := []string{g.displayName(from)}
+// renderPath formats "A → B → C" for a witness chain starting at from
+// (already a display name).
+func (g *CallGraph) renderPath(from string, steps []PathStep) string {
+	parts := []string{from}
 	for _, s := range steps {
 		parts = append(parts, g.displayName(s.Fn))
 	}

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -23,9 +24,9 @@ import (
 //     (stop := c.hbStop; close(stop)) count against the field.
 //  2. No send after close (per function, path-sensitive): on any path
 //     where a channel was closed — locals included — a later send or
-//     second close on that path is a guaranteed panic. The walk forks at
-//     branches and joins by union, excluding terminating branches, the
-//     same gen/kill discipline as poollife; calls are checked against
+//     second close on that path is a guaranteed panic. It is a
+//     may-closed lattice on the dataflow engine (flow.go), the same
+//     gen/kill discipline as poollife; calls are checked against
 //     send summaries propagated over the call graph, so a close followed
 //     by a call into a helper that sends on the same class is caught.
 //
@@ -88,8 +89,8 @@ func (c *chanOwn) Finalize(report func(Diagnostic)) {
 			return true
 		})
 		// Path check: close→send / close→close ordering inside the body.
-		w := &coWalker{info: info, fset: c.fset, aliases: aliases, sends: sends, graph: c.graph}
-		w.block(node.Decl.Body, make(coState))
+		w := &coTransfer{info: info, fset: c.fset, aliases: aliases, sends: sends, graph: c.graph}
+		w.lattice().walk(node.Decl.Body, coState{})
 		found = append(found, w.found...)
 	}
 
@@ -166,22 +167,17 @@ func (c *chanOwn) sendSummaries() map[*types.Func]map[string]bool {
 		})
 	}
 	// Propagate caller ← callee until stable.
-	for changed := true; changed; {
-		changed = false
-		for _, fn := range c.graph.Funcs() {
-			node := c.graph.Node(fn)
-			if node == nil {
-				continue
-			}
-			for _, e := range node.Edges {
-				for cls := range sends[e.Callee.Origin()] {
-					if mark(fn, cls) {
-						changed = true
-					}
+	c.graph.fixpoint(func(fn *types.Func, node *CGNode) bool {
+		changed := false
+		for _, e := range node.Edges {
+			for cls := range sends[e.Callee.Origin()] {
+				if mark(fn, cls) {
+					changed = true
 				}
 			}
 		}
-	}
+		return changed
+	})
 	return sends
 }
 
@@ -202,18 +198,10 @@ func (k coKey) String() string {
 // coState maps closed channels to their close position on this path.
 type coState map[coKey]token.Pos
 
-func (s coState) clone() coState {
-	out := make(coState, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
-
-// coWalker is the path-sensitive close/send walker. It mirrors the
-// poollife walk shape: statements thread state, branches fork and join
-// by union, terminating branches drop out of the join.
-type coWalker struct {
+// coTransfer holds chanown's transfer functions for one function body:
+// closes gen a closed mark, sends and second closes check it, and
+// re-making a channel kills it.
+type coTransfer struct {
 	info    *types.Info
 	fset    *token.FileSet
 	aliases map[types.Object]string
@@ -223,7 +211,22 @@ type coWalker struct {
 	seen    map[token.Pos]bool
 }
 
-func (w *coWalker) keyOf(e ast.Expr) (coKey, bool) {
+// lattice is chanown's path lattice: may-closed, so joins take the union
+// (a channel closed on either arm counts as closed afterwards), and loops
+// get a second pass over the body so a close in one iteration meets the
+// send in the next. Deferred closes run at return, after every send in
+// the body, so a defer only evaluates its arguments.
+func (w *coTransfer) lattice() *flowLattice[coState] {
+	return &flowLattice[coState]{
+		clone: maps.Clone[coState],
+		join:  mayJoin[coState],
+		stmt:  w.stmt,
+		expr:  func(e ast.Expr, st coState) { w.expr(e, st) },
+		loop:  func(pre, end coState) (coState, bool) { return mayJoin(pre, end), true },
+	}
+}
+
+func (w *coTransfer) keyOf(e ast.Expr) (coKey, bool) {
 	if cls := chanClassOf(w.info, e, w.aliases); cls != "" {
 		return coKey{cls: cls}, true
 	}
@@ -239,7 +242,7 @@ func (w *coWalker) keyOf(e ast.Expr) (coKey, bool) {
 	return coKey{}, false
 }
 
-func (w *coWalker) report(pos token.Pos, msg string) {
+func (w *coTransfer) report(pos token.Pos, msg string) {
 	if w.seen == nil {
 		w.seen = make(map[token.Pos]bool)
 	}
@@ -250,40 +253,16 @@ func (w *coWalker) report(pos token.Pos, msg string) {
 	w.found = append(w.found, Diagnostic{Pos: w.fset.Position(pos), Rule: "chanown", Message: msg})
 }
 
-// block walks stmts with state, returning the state at fall-through.
-// A nil return means every path out of the block terminates.
-func (w *coWalker) block(b *ast.BlockStmt, st coState) coState {
-	if b == nil {
-		return st
-	}
-	return w.stmts(b.List, st)
-}
-
-func (w *coWalker) stmts(list []ast.Stmt, st coState) coState {
-	for _, s := range list {
-		if st = w.stmt(s, st); st == nil {
-			return nil
-		}
-	}
-	return st
-}
-
-func (w *coWalker) stmt(s ast.Stmt, st coState) coState {
+// stmt is the transfer for simple statements.
+func (w *coTransfer) stmt(s ast.Stmt, st coState, _ bool) {
 	switch x := s.(type) {
-	case *ast.ReturnStmt:
-		w.exprs(x.Results, st)
-		return nil
-	case *ast.BranchStmt:
-		return nil // break/continue/goto end this straight-line path
 	case *ast.ExprStmt:
 		w.expr(x.X, st)
 	case *ast.SendStmt:
 		w.checkSend(x, st)
 		w.expr(x.Value, st)
 	case *ast.AssignStmt:
-		for _, r := range x.Rhs {
-			w.expr(r, st)
-		}
+		w.exprs(x.Rhs, st)
 		// Re-making a closed channel reopens it on this path.
 		for i, l := range x.Lhs {
 			if k, ok := w.keyOf(l); ok && i < len(x.Rhs) {
@@ -294,15 +273,6 @@ func (w *coWalker) stmt(s ast.Stmt, st coState) coState {
 				}
 			}
 		}
-	case *ast.DeferStmt:
-		// Defers run at return, after the body's sends: census-only.
-		for _, a := range x.Call.Args {
-			w.expr(a, st)
-		}
-	case *ast.GoStmt:
-		for _, a := range x.Call.Args {
-			w.expr(a, st)
-		}
 	case *ast.DeclStmt:
 		if gd, ok := x.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
@@ -311,130 +281,18 @@ func (w *coWalker) stmt(s ast.Stmt, st coState) coState {
 				}
 			}
 		}
-	case *ast.IfStmt:
-		if x.Init != nil {
-			if st = w.stmt(x.Init, st); st == nil {
-				return nil
-			}
-		}
-		w.expr(x.Cond, st)
-		thenSt := w.block(x.Body, st.clone())
-		var elseSt coState
-		if x.Else != nil {
-			elseSt = w.stmt(x.Else, st.clone())
-		} else {
-			elseSt = st.clone()
-		}
-		return mergeCO(thenSt, elseSt)
-	case *ast.BlockStmt:
-		return w.block(x, st)
-	case *ast.ForStmt:
-		if x.Init != nil {
-			if st = w.stmt(x.Init, st); st == nil {
-				return nil
-			}
-		}
-		// Two passes over the body: the second sees closes from the
-		// first, catching close-then-send across iterations.
-		first := w.block(x.Body, st.clone())
-		if first != nil {
-			w.block(x.Body, first.clone())
-			st = mergeCO(st, first)
-		}
-		return st
-	case *ast.RangeStmt:
-		w.expr(x.X, st)
-		first := w.block(x.Body, st.clone())
-		if first != nil {
-			w.block(x.Body, first.clone())
-			st = mergeCO(st, first)
-		}
-		return st
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-		return w.branches(x, st)
-	case *ast.LabeledStmt:
-		return w.stmt(x.Stmt, st)
 	}
-	return st
 }
 
-// branches forks state per case clause and joins by union.
-func (w *coWalker) branches(s ast.Stmt, st coState) coState {
-	var bodies [][]ast.Stmt
-	switch x := s.(type) {
-	case *ast.SwitchStmt:
-		if x.Init != nil {
-			if st = w.stmt(x.Init, st); st == nil {
-				return nil
-			}
-		}
-		if x.Tag != nil {
-			w.expr(x.Tag, st)
-		}
-		for _, cl := range x.Body.List {
-			bodies = append(bodies, cl.(*ast.CaseClause).Body)
-		}
-	case *ast.TypeSwitchStmt:
-		if x.Init != nil {
-			if st = w.stmt(x.Init, st); st == nil {
-				return nil
-			}
-		}
-		for _, cl := range x.Body.List {
-			bodies = append(bodies, cl.(*ast.CaseClause).Body)
-		}
-	case *ast.SelectStmt:
-		for _, cl := range x.Body.List {
-			comm := cl.(*ast.CommClause)
-			if send, ok := comm.Comm.(*ast.SendStmt); ok {
-				w.checkSend(send, st)
-			}
-			bodies = append(bodies, comm.Body)
-		}
-	}
-	if len(bodies) == 0 {
-		return st
-	}
-	var out coState
-	for _, body := range bodies {
-		if end := w.stmts(body, st.clone()); end != nil {
-			out = mergeCO(out, end)
-		}
-	}
-	// A switch/select without a covering default can fall through.
-	return mergeCO(out, st)
-}
-
-func mergeCO(a, b coState) coState {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	for k, v := range b {
-		if _, ok := a[k]; !ok {
-			a[k] = v
-		}
-	}
-	return a
-}
-
-func (w *coWalker) exprs(list []ast.Expr, st coState) {
+func (w *coTransfer) exprs(list []ast.Expr, st coState) {
 	for _, e := range list {
 		w.expr(e, st)
 	}
 }
 
 // expr scans an expression for closes and calls that matter to state.
-func (w *coWalker) expr(e ast.Expr, st coState) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false // runs on another frame; not this path
-		}
+func (w *coTransfer) expr(e ast.Expr, st coState) {
+	inspectFrame(e, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -453,12 +311,16 @@ func (w *coWalker) expr(e ast.Expr, st coState) {
 		// A call into a function that may send on a closed class.
 		if fn := calleeFunc(w.info, call); fn != nil {
 			if m := w.sends[fn.Origin()]; m != nil {
+				closed := make(map[string]token.Pos)
 				for k, pos := range st {
 					if k.cls != "" && m[k.cls] {
-						w.report(call.Pos(), "call to "+w.graph.displayName(fn.Origin())+
-							" may send on "+k.String()+" after it was closed at "+
-							w.fset.Position(pos).String()+"; sending on a closed channel panics")
+						closed[k.cls] = pos
 					}
+				}
+				for _, cls := range sortedKeys(closed) { // the first class wins the call's one report
+					w.report(call.Pos(), "call to "+w.graph.displayName(fn.Origin())+
+						" may send on "+cls+" after it was closed at "+
+						w.fset.Position(closed[cls]).String()+"; sending on a closed channel panics")
 				}
 			}
 		}
@@ -466,7 +328,7 @@ func (w *coWalker) expr(e ast.Expr, st coState) {
 	})
 }
 
-func (w *coWalker) checkSend(s *ast.SendStmt, st coState) {
+func (w *coTransfer) checkSend(s *ast.SendStmt, st coState) {
 	k, ok := w.keyOf(s.Chan)
 	if !ok {
 		return

@@ -103,7 +103,7 @@ func (g *goLeak) checkSpawn(info *types.Info, gs *ast.GoStmt, hazards map[*types
 	case lit != nil:
 		// The spawned closure itself, checked in place.
 		if hz := unwitnessedLoops(info, lit.Body); len(hz) > 0 {
-			return g.finding(gs, hz[0].pos, "the spawned func literal", nil)
+			return g.finding(gs, hz[0].pos, "the spawned func literal", "")
 		}
 		seeds = litCallees(info, g.graph, lit)
 	case fn != nil:
@@ -112,58 +112,21 @@ func (g *goLeak) checkSpawn(info *types.Info, gs *ast.GoStmt, hazards map[*types
 		return nil // func value or external callee: unresolvable
 	}
 
-	// BFS over the module call graph; parent links render the chain.
-	parent := make(map[*types.Func]*types.Func)
-	visited := make(map[*types.Func]bool)
-	var queue []*types.Func
-	for _, s := range seeds {
-		if !visited[s] && !finite[s] {
-			visited[s] = true
-			queue = append(queue, s)
-		}
-	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if hz := hazards[cur]; len(hz) > 0 {
-			return g.finding(gs, hz[0].pos, g.graph.displayName(cur), g.chain(cur, parent))
-		}
-		node := g.graph.Node(cur)
-		if node == nil {
-			continue
-		}
-		for _, e := range node.Edges {
-			callee := e.Callee.Origin()
-			if visited[callee] || finite[callee] {
-				continue
-			}
-			if n := g.graph.Node(callee); n == nil || n.Decl == nil {
-				continue
-			}
-			visited[callee] = true
-			parent[callee] = cur
-			queue = append(queue, callee)
+	// The first unwitnessed loop in breadth-first order, with its chain.
+	closure := g.graph.reach(seeds, func(fn *types.Func) bool { return finite[fn] })
+	for _, fn := range closure.order {
+		if hz := hazards[fn]; len(hz) > 0 {
+			return g.finding(gs, hz[0].pos, g.graph.displayName(fn), closure.chain(fn))
 		}
 	}
 	return nil
 }
 
-func (g *goLeak) chain(fn *types.Func, parent map[*types.Func]*types.Func) []string {
-	var names []string
-	for f := fn; f != nil; f = parent[f] {
-		names = append(names, g.graph.displayName(f))
-	}
-	for i, j := 0, len(names)-1; i < j; i, j = i+1, j-1 {
-		names[i], names[j] = names[j], names[i]
-	}
-	return names
-}
-
-func (g *goLeak) finding(gs *ast.GoStmt, loopPos token.Pos, where string, chain []string) *Diagnostic {
+func (g *goLeak) finding(gs *ast.GoStmt, loopPos token.Pos, where, chain string) *Diagnostic {
 	lp := g.fset.Position(loopPos)
 	path := "spawn"
-	for _, c := range chain {
-		path += " → " + c
+	if chain != "" {
+		path += " → " + chain
 	}
 	msg := "goroutine has no termination witness: " + where +
 		" loops forever at " + lp.Filename + ":" + strconv.Itoa(lp.Line) + " (" + path +

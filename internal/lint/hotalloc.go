@@ -66,15 +66,15 @@ func declMarked(decl *ast.FuncDecl, marker string) bool {
 	return false
 }
 
-func (h *hotAlloc) Finalize(report func(Diagnostic)) {
-	if h.graph == nil {
-		return
-	}
-	// Collect annotated roots and coldpath seams.
+// hotRegion returns the hot path hotalloc and spinloop police — every
+// function reachable from a //kslint:hotpath root without entering a
+// //kslint:coldpath seam — and the set of seams. hot is nil when the
+// module marks no root.
+func hotRegion(g *CallGraph) (hot *reachSet, cold map[*types.Func]bool) {
 	var roots []*types.Func
-	cold := make(map[*types.Func]bool)
-	for _, fn := range h.graph.Funcs() {
-		node := h.graph.Node(fn)
+	cold = make(map[*types.Func]bool)
+	for _, fn := range g.Funcs() { // FuncID order
+		node := g.Node(fn)
 		if declMarked(node.Decl, "kslint:hotpath") {
 			roots = append(roots, fn)
 		}
@@ -83,47 +83,21 @@ func (h *hotAlloc) Finalize(report func(Diagnostic)) {
 		}
 	}
 	if len(roots) == 0 {
+		return nil, cold
+	}
+	return g.reach(roots, func(fn *types.Func) bool { return cold[fn] }), cold
+}
+
+func (h *hotAlloc) Finalize(report func(Diagnostic)) {
+	if h.graph == nil {
 		return
 	}
-	sort.Slice(roots, func(i, j int) bool { return FuncID(roots[i]) < FuncID(roots[j]) })
-
-	// Multi-source BFS; parent links give the shortest hot chain.
-	parent := make(map[*types.Func]*types.Func)
-	reach := make(map[*types.Func]bool)
-	queue := append([]*types.Func(nil), roots...)
-	for _, r := range roots {
-		reach[r] = true
+	hot, cold := hotRegion(h.graph)
+	if hot == nil {
+		return
 	}
-	for len(queue) > 0 {
-		fn := queue[0]
-		queue = queue[1:]
-		node := h.graph.Node(fn)
-		if node == nil || node.Decl == nil {
-			continue
-		}
-		for _, e := range node.Edges {
-			callee := e.Callee.Origin()
-			if reach[callee] || cold[callee] {
-				continue
-			}
-			if n := h.graph.Node(callee); n == nil || n.Decl == nil {
-				continue // stdlib and external leaves checked at the edge, not entered
-			}
-			reach[callee] = true
-			parent[callee] = fn
-			queue = append(queue, callee)
-		}
-	}
-
 	chain := func(fn *types.Func) string {
-		var names []string
-		for f := fn; f != nil; f = parent[f] {
-			names = append(names, h.graph.displayName(f))
-		}
-		for i, j := 0, len(names)-1; i < j; i, j = i+1, j-1 {
-			names[i], names[j] = names[j], names[i]
-		}
-		return "hot via " + strings.Join(names, " → ")
+		return "hot via " + hot.chain(fn)
 	}
 
 	var found []Diagnostic
@@ -139,7 +113,7 @@ func (h *hotAlloc) Finalize(report func(Diagnostic)) {
 	}
 
 	for _, fn := range h.graph.Funcs() {
-		if !reach[fn] {
+		if !hot.in[fn] {
 			continue
 		}
 		node := h.graph.Node(fn)

@@ -42,6 +42,25 @@ func stamp2() time.Time { return stamp() }
 	}
 }
 
+func TestWallClockFlagsPackageLevelFuncLits(t *testing.T) {
+	// A func literal bound at package level has no declaration of its
+	// own; its closure is checked like a declared function's.
+	diags := lintFixture(t, lint.Config{}, "lintfixture/wallclock_funclit", `
+package fixture
+
+import "time"
+
+var settle = func() { time.Sleep(time.Millisecond) }
+
+var stamp = func() time.Time { return time.Now() }
+`, "wallclock")
+	wantFindings(t, diags, "wallclock", "wallclock")
+	if !strings.Contains(diags[0].Message, "settle → time.Sleep") ||
+		!strings.Contains(diags[1].Message, "stamp → time.Now") {
+		t.Fatalf("findings should name the literal's var and the time call:\n%s", render(diags))
+	}
+}
+
 func TestWallClockFlagsTickerHelper(t *testing.T) {
 	diags := lintFixture(t, lint.Config{}, "lintfixture/wallclock_ticker", `
 package fixture
@@ -390,6 +409,58 @@ func (s *S) PanicOK(cond bool) {
 	wantFindings(t, diags)
 }
 
+func TestLockBalanceJoinsSelectArms(t *testing.T) {
+	// Select arms join like switch arms: when every arm unlocks, the lock
+	// is released after the select, so neither the exit nor the send
+	// after it holds s.mu.
+	diags := lintFixture(t, lint.Config{}, "lintfixture/lockbalance_select_ok", `
+package fixture
+
+import "sync"
+
+type S struct{ mu sync.Mutex }
+
+func (s *S) Wait(a, b, out chan int) {
+	s.mu.Lock()
+	select {
+	case <-a:
+		s.mu.Unlock()
+	case <-b:
+		s.mu.Unlock()
+	}
+	out <- 1
+}
+`, "lockbalance", "lockheld-rpc")
+	wantFindings(t, diags)
+}
+
+func TestLockBalanceFlagsSelectArmKeepingLock(t *testing.T) {
+	// One arm keeps the lock: a must-held join drops it, but the arm's own
+	// path still leaves the function holding s.mu.
+	diags := lintFixture(t, lint.Config{}, "lintfixture/lockbalance_select_tp", `
+package fixture
+
+import "sync"
+
+type S struct{ mu sync.Mutex }
+
+func (s *S) Wait(a, b chan int) {
+	s.mu.Lock()
+	select {
+	case <-a:
+		s.mu.Unlock()
+	case <-b:
+		return
+	}
+}
+`, "lockbalance")
+	wantFindings(t, diags, "lockbalance")
+	if diags[0].Pos.Line != 14 {
+		t.Fatalf("leak should be reported at the arm's return (line 14), got line %d\n%s",
+			diags[0].Pos.Line, render(diags))
+	}
+}
+
 // --- txnproto ---
 
 func TestTxnProtoFlagsOutOfOrderSteps(t *testing.T) {
@@ -635,11 +706,11 @@ func TestJSONRoundTrip(t *testing.T) {
 	diags := lintFixture(t, lint.Config{}, "lintfixture/json_rt", `
 package fixture
 
-import "time"
+import "math/rand"
 
-func wait() { time.Sleep(time.Millisecond) }
-`, "nosleep")
-	wantFindings(t, diags, "nosleep")
+func draw() int { return rand.Intn(3) }
+`, "norawrand")
+	wantFindings(t, diags, "norawrand")
 
 	data, err := lint.ToJSON(diags)
 	if err != nil {
@@ -672,19 +743,22 @@ func wait() { time.Sleep(time.Millisecond) }
 
 func TestFileIgnoreScopesByRule(t *testing.T) {
 	// file-ignore suppresses the named rule everywhere in the file but
-	// leaves other rules running: the sleeps are forgiven, the tainted
-	// closures are not.
+	// leaves other rules running: the unseeded draws are forgiven, the
+	// tainted closures are not.
 	diags := lintFixture(t, lint.Config{}, "lintfixture/fileignore", `
 package fixture
 
-//kslint:file-ignore nosleep this file is a timing shim by design
+//kslint:file-ignore norawrand this file is a jitter shim by design
 
-import "time"
+import (
+	"math/rand"
+	"time"
+)
 
-func a() { time.Sleep(time.Millisecond) }
+func a() { time.Sleep(time.Duration(rand.Intn(3))) }
 
-func b() { time.Sleep(time.Millisecond) }
-`, "nosleep", "wallclock")
+func b() { time.Sleep(time.Duration(rand.Intn(3))) }
+`, "norawrand", "wallclock")
 	wantFindings(t, diags, "wallclock", "wallclock")
 }
 
@@ -694,9 +768,12 @@ package fixture
 
 //kslint:file-ignore all generated demo file
 
-import "time"
+import (
+	"math/rand"
+	"time"
+)
 
-func a() { time.Sleep(time.Millisecond) }
-`, "nosleep", "wallclock")
+func a() { time.Sleep(time.Duration(rand.Intn(3))) }
+`, "norawrand", "wallclock")
 	wantFindings(t, diags)
 }

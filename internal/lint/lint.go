@@ -4,16 +4,16 @@
 // the broker/client hot paths keep their concurrency discipline; kslint
 // machine-checks those invariants instead of leaving them to review:
 //
-//	nosleep      no raw time.Sleep in production code (waits go through
-//	             the retry clock so fault-injection timing is deterministic)
 //	norawrand    no global math/rand functions (seeded *rand.Rand only)
 //	lockheld-rpc no mutex held across a transport RPC or channel send
 //	sendtraced   client-side RPCs use SendTraced so obs spans stay complete
 //	errdrop      no silently discarded errors from broker/client APIs
 //	obsnames     metric families follow the DESIGN §7 naming scheme and
 //	             each family is registered from a single package
-//	wallclock    no production call closure reaches raw wall-clock time
-//	             outside the retry.Clock / obs seams (interprocedural)
+//	wallclock    no production call closure — a raw time.Sleep or timer
+//	             included — reaches wall-clock time outside the
+//	             retry.Clock / obs seams, so fault-injection timing stays
+//	             deterministic (interprocedural, with a witness chain)
 //	lockorder    no cycle in the module-wide lock-order graph — potential
 //	             deadlocks reported with a call-graph witness path
 //	lockbalance  no mutex still held (and not defer-unlocked) on any
@@ -44,15 +44,20 @@
 //	             busy-spin: unbounded loops block on a channel, cond, or
 //	             clock each iteration
 //
-// The last twelve are interprocedural: they query the module-wide call
-// graph built in callgraph.go (static dispatch plus interface-method
-// resolution over the module's concrete types). Analyzers are written
-// purely on go/ast + go/parser + go/types; see loader.go for how the
-// module is type-checked without x/tools. Findings can be suppressed per
-// line with `//kslint:ignore <rule>[,<rule>] reason`, per file with
-// `//kslint:file-ignore <rule> reason`, and per path prefix through
-// Config.Allow; the goroutine-lifecycle rules (DESIGN.md §12) honor
-// `//kslint:finite <reason>` on a function's doc comment as a
+// Ten are interprocedural — wallclock, lockorder, txnproto, poollife,
+// zerocopy, hotalloc, goleak, chanown, waitbalance, spinloop: they query
+// the module-wide call graph built in callgraph.go (static dispatch plus
+// interface-method resolution over the module's concrete types) and
+// share its one summary fixpoint and one reach walk. Six are
+// path-sensitive — lockheld-rpc, lockbalance, lockorder, txnproto,
+// poollife, chanown: each supplies a lattice to the one dataflow engine
+// in flow.go, which owns branching, joins, loops and defers. Analyzers
+// are written purely on go/ast + go/parser + go/types; see loader.go for
+// how the module is type-checked without x/tools. Findings can be
+// suppressed per line with `//kslint:ignore <rule>[,<rule>] reason`, per
+// file with `//kslint:file-ignore <rule> reason`, and per path prefix
+// through Config.Allow; the goroutine-lifecycle rules (DESIGN.md §12)
+// honor `//kslint:finite <reason>` on a function's doc comment as a
 // termination assertion.
 package lint
 
@@ -117,30 +122,20 @@ type Config struct {
 
 // DefaultConfig is the repository policy. Allowlist rationale:
 //
-//   - nosleep: internal/retry owns the Clock implementation (the one
-//     place raw sleeps are the point); internal/harness and
-//     internal/experiments are the wall-clock experiment drivers; cmd
-//     and examples are interactive demos.
 //   - sendtraced: internal/transport defines Send; broker-to-broker and
 //     controller RPCs (internal/broker, internal/cluster) carry no
 //     client trace context by design — spans attribute *client*
 //     operations; cmd and examples are untraced tooling.
-//   - wallclock: same rationale as nosleep, interprocedurally — the
-//     harness/experiment drivers and interactive tooling run in real
-//     time on purpose, so their closures may reach the wall clock.
-//     internal/lint itself is on the list for one reason: the linter
-//     times its own analysis (timing.go) for the `make lint` budget
-//     gate, and developer tooling measuring itself has no determinism
-//     contract to protect.
+//   - wallclock: internal/harness and internal/experiments are the
+//     wall-clock experiment drivers, and cmd and examples are interactive
+//     demos: they run in real time on purpose, so their closures may
+//     reach the wall clock. (internal/retry and internal/obs are the
+//     seams themselves and are exempt in the rule.) internal/lint itself
+//     is on the list for one reason: the linter times its own analysis
+//     (timing.go) for the `make lint` budget gate, and developer tooling
+//     measuring itself has no determinism contract to protect.
 func DefaultConfig() Config {
 	return Config{Allow: map[string][]string{
-		"nosleep": {
-			"internal/retry",
-			"internal/harness",
-			"internal/experiments",
-			"cmd",
-			"examples",
-		},
 		"wallclock": {
 			"internal/harness",
 			"internal/experiments",
@@ -172,7 +167,6 @@ func (c Config) allowed(rule, file string) bool {
 // Analyzers returns the full rule set for a module path.
 func Analyzers(module string) []Analyzer {
 	return []Analyzer{
-		noSleep{},
 		noRawRand{},
 		lockHeld{module: module},
 		sendTraced{module: module},
@@ -259,7 +253,7 @@ func rulesSuppressed(rules []string, rule string) bool {
 // and on the line below it (standalone comment above the statement):
 //
 //	foo()            //kslint:ignore errdrop best-effort cleanup
-//	//kslint:ignore nosleep settle delay is part of the scenario
+//	//kslint:ignore wallclock settle delay is part of the scenario
 //	time.Sleep(d)
 func suppressions(fset *token.FileSet, f *ast.File) map[int][]string {
 	out := make(map[int][]string)

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 )
 
 // lockHeld is an intra-procedural check that no sync.Mutex/RWMutex is
@@ -15,10 +16,10 @@ import (
 // the hazard class the retry chaos tests hunt dynamically, checked here
 // statically.
 //
-// The path-sensitive held-set machinery lives in lockWalker, which is
-// shared with the lockorder and lockbalance rules through hooks: the
-// walker owns branching/join/defer/select semantics, the rules own what
-// to do at acquisitions, expressions, sends, and exits.
+// The held set comes from lockFlow, the lattice the lock rules
+// (lockheld-rpc, lockorder, lockbalance) share on the dataflow engine
+// (flow.go): the engine owns branching, joins, loops and defers; the
+// rules own what to do at acquisitions, expressions, sends, and exits.
 type lockHeld struct{ module string }
 
 func (lockHeld) Name() string { return "lockheld-rpc" }
@@ -35,333 +36,96 @@ func (l lockHeld) Run(p *Pass) {
 				what, key, p.Fset.Position(at))
 		}
 	}
-	w := &lockWalker{pass: p, hooks: lockHooks{
-		keyOf: func(recv ast.Expr) (string, bool) { return types.ExprString(recv), true },
-		onExpr: func(n ast.Node, held lockset) {
-			ast.Inspect(n, func(x ast.Node) bool {
-				switch e := x.(type) {
-				case *ast.FuncLit:
-					return false
-				case *ast.CallExpr:
-					fn := calleeFunc(p.Pkg.Info, e)
-					if isMethod(fn, transport, "Network", "Send") || isMethod(fn, transport, "Network", "SendTraced") {
-						reportHeld(e.Pos(), held, "transport RPC")
-					}
+	flow := lockFlow(p.Pkg.Info, exprLockKey, nil, func(n ast.Node, held lockset) {
+		inspectFrame(n, func(x ast.Node) bool {
+			if call, ok := x.(*ast.CallExpr); ok {
+				fn := calleeFunc(p.Pkg.Info, call)
+				if isMethod(fn, transport, "Network", "Send") || isMethod(fn, transport, "Network", "SendTraced") {
+					reportHeld(call.Pos(), held, "transport RPC")
 				}
-				return true
-			})
-		},
-		onSend: func(pos token.Pos, held lockset) { reportHeld(pos, held, "channel send") },
-	}}
-	for _, f := range p.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if fn.Body != nil {
-					w.walkBody(fn.Body)
-				}
-			case *ast.FuncLit:
-				w.walkBody(fn.Body)
 			}
 			return true
 		})
+	})
+	stmt := flow.stmt
+	flow.stmt = func(s ast.Stmt, held lockset, comm bool) {
+		if _, ok := s.(*ast.SendStmt); ok && !comm && len(held) > 0 {
+			reportHeld(s.Pos(), held, "channel send")
+		}
+		stmt(s, held, comm)
+	}
+	for _, f := range p.Pkg.Files {
+		funcBodies(f, func(body *ast.BlockStmt) { flow.walk(body, lockset{}) })
 	}
 }
 
-// lockset maps a lock's identity (per the rule's keyOf) to where it was
-// acquired.
+// lockset maps a lock's identity (per the rule's key function) to where
+// it was acquired.
 type lockset map[string]token.Pos
 
-func (s lockset) clone() lockset {
-	out := make(lockset, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
+// exprLockKey names a lock by its receiver's spelling (s.mu).
+func exprLockKey(recv ast.Expr) (string, bool) { return types.ExprString(recv), true }
 
-func intersect(a, b lockset) lockset {
-	out := lockset{}
-	for k, v := range a {
-		if _, ok := b[k]; ok {
-			out[k] = v
+// lockFlow is the held-set lattice the lock rules share. Lock/RLock on a
+// lock key can name adds it, Unlock/RUnlock drops it, and a join keeps
+// only the locks every path holds (must-held), so a lock counts as held
+// after a branch only when no path released it. A deferred unlock is not
+// a release: the lock stays held for the rest of the body, matching its
+// runtime meaning. A send that is a select communication is not
+// evaluated — a select is cancellable.
+//
+// key names a lock from its receiver expression; ok=false ignores the
+// operation (e.g. a function-local mutex when only type-level classes
+// matter). acquire (optional) sees each acquisition with the set held
+// just before it; scan (optional) gets every other expression evaluated
+// while at least one lock is held.
+func lockFlow(info *types.Info, key func(recv ast.Expr) (string, bool),
+	acquire func(key string, pos token.Pos, held lockset), scan func(n ast.Node, held lockset)) *flowLattice[lockset] {
+	eval := func(n ast.Node, held lockset) {
+		if scan != nil && len(held) > 0 {
+			scan(n, held)
 		}
 	}
-	return out
-}
-
-// lockHooks parameterize the shared walker. Any hook may be nil.
-type lockHooks struct {
-	// keyOf names a lock from its receiver expression; ok=false makes the
-	// walker ignore the operation entirely (e.g. a function-local mutex
-	// when only type-level classes matter).
-	keyOf func(recv ast.Expr) (string, bool)
-	// onAcquire fires at each Lock/RLock, with the set held just before.
-	onAcquire func(key, op string, pos token.Pos, held lockset)
-	// onDefer fires for a deferred lock operation (usually Unlock).
-	onDefer func(key, op string, pos token.Pos)
-	// onExpr fires for every scanned non-lock expression while at least
-	// one lock is held.
-	onExpr func(n ast.Node, held lockset)
-	// onSend fires at a blocking (non-select) channel send while at least
-	// one lock is held.
-	onSend func(pos token.Pos, held lockset)
-	// onExit fires at each return statement and at a fall-off-the-end,
-	// with that path's held set.
-	onExit func(pos token.Pos, held lockset)
-}
-
-// lockWalker walks one function body in order, tracking the set of held
-// locks per path: branches fork a copy of the set and re-join on the
-// intersection (a lock counts as held after an if/switch only when every
-// path kept it). `defer mu.Unlock()` leaves the lock held for the rest
-// of the body, matching its runtime meaning. Channel sends that are
-// select comm-clauses are exempt from onSend — a select is cancellable.
-// FuncLit bodies are not descended into — they run on their own schedule
-// and are walked as independent bodies by the rules that care.
-type lockWalker struct {
-	pass  *Pass
-	hooks lockHooks
-}
-
-// walkBody processes one function (or FuncLit) body from an empty held
-// set, firing onExit at the fall-through if the body does not terminate.
-func (w *lockWalker) walkBody(body *ast.BlockStmt) {
-	held := w.stmts(body.List, lockset{})
-	if !terminates(body.List) && w.hooks.onExit != nil {
-		w.hooks.onExit(body.End(), held)
-	}
-}
-
-// stmts processes a statement list in order, threading the held set.
-func (w *lockWalker) stmts(list []ast.Stmt, held lockset) lockset {
-	for _, s := range list {
-		held = w.stmt(s, held)
-	}
-	return held
-}
-
-func (w *lockWalker) stmt(s ast.Stmt, held lockset) lockset {
-	switch st := s.(type) {
-	case nil:
-		return held
-	case *ast.BlockStmt:
-		return w.stmts(st.List, held)
-	case *ast.ExprStmt:
-		if key, op, ok := w.lockOp(st.X); ok {
-			switch op {
-			case "Lock", "RLock":
-				if w.hooks.onAcquire != nil {
-					w.hooks.onAcquire(key, op, st.Pos(), held)
-				}
-				held[key] = st.Pos()
-			case "Unlock", "RUnlock":
-				delete(held, key)
-			}
-			return held
-		}
-		w.scan(st.X, held)
-		return held
-	case *ast.DeferStmt:
-		// defer mu.Unlock() keeps the lock held for the rest of the
-		// body; only scan the call's arguments (evaluated now).
-		if recv, op, ok := mutexOp(w.pass.Pkg.Info, st.Call); ok {
-			if w.hooks.onDefer != nil {
-				if key, keyOK := w.key(recv); keyOK {
-					w.hooks.onDefer(key, op, st.Pos())
+	return &flowLattice[lockset]{
+		clone: maps.Clone[lockset],
+		join:  func(a, b lockset) lockset { return mustJoin(a, b, nil) },
+		stmt: func(s ast.Stmt, held lockset, comm bool) {
+			if es, ok := s.(*ast.ExprStmt); ok {
+				if recv, op, ok := mutexOp(info, es.X); ok {
+					if k, ok := key(recv); ok {
+						if op == "Lock" || op == "RLock" {
+							if acquire != nil {
+								acquire(k, es.Pos(), held)
+							}
+							held[k] = es.Pos()
+						} else {
+							delete(held, k)
+						}
+						return
+					}
 				}
 			}
-			return held
-		}
-		for _, a := range st.Call.Args {
-			w.scan(a, held)
-		}
-		return held
-	case *ast.GoStmt:
-		for _, a := range st.Call.Args {
-			w.scan(a, held)
-		}
-		return held
-	case *ast.SendStmt:
-		if w.hooks.onSend != nil && len(held) > 0 {
-			w.hooks.onSend(st.Pos(), held)
-		}
-		w.scan(st.Chan, held)
-		w.scan(st.Value, held)
-		return held
-	case *ast.AssignStmt:
-		for _, e := range st.Rhs {
-			w.scan(e, held)
-		}
-		for _, e := range st.Lhs {
-			w.scan(e, held)
-		}
-		return held
-	case *ast.DeclStmt:
-		w.scan(st.Decl, held)
-		return held
-	case *ast.ReturnStmt:
-		for _, e := range st.Results {
-			w.scan(e, held)
-		}
-		if w.hooks.onExit != nil {
-			w.hooks.onExit(st.Pos(), held)
-		}
-		return held
-	case *ast.IncDecStmt:
-		w.scan(st.X, held)
-		return held
-	case *ast.LabeledStmt:
-		return w.stmt(st.Stmt, held)
-	case *ast.IfStmt:
-		held = w.stmt(st.Init, held)
-		w.scan(st.Cond, held)
-		then := w.stmts(st.Body.List, held.clone())
-		alt := held.clone()
-		altTerm := false
-		if st.Else != nil {
-			alt = w.stmt(st.Else, alt)
-			if blk, ok := st.Else.(*ast.BlockStmt); ok {
-				altTerm = terminates(blk.List)
+			if _, send := s.(*ast.SendStmt); send && comm {
+				return
 			}
-		}
-		// A branch that returns (or breaks out) never reaches the code
-		// after the if, so it must not weaken the join.
-		switch {
-		case terminates(st.Body.List) && altTerm:
-			return held // unreachable fall-through; keep pre-state
-		case terminates(st.Body.List):
-			return alt
-		case altTerm:
-			return then
-		}
-		return intersect(then, alt)
-	case *ast.ForStmt:
-		held = w.stmt(st.Init, held)
-		w.scan(st.Cond, held)
-		body := w.stmts(st.Body.List, held.clone())
-		w.stmt(st.Post, body)
-		return held
-	case *ast.RangeStmt:
-		w.scan(st.X, held)
-		w.stmts(st.Body.List, held.clone())
-		return held
-	case *ast.SwitchStmt:
-		held = w.stmt(st.Init, held)
-		w.scan(st.Tag, held)
-		return w.clauses(st.Body, held)
-	case *ast.TypeSwitchStmt:
-		held = w.stmt(st.Init, held)
-		w.stmt(st.Assign, held)
-		return w.clauses(st.Body, held)
-	case *ast.SelectStmt:
-		// Comm clauses are cancellable by construction; only walk the
-		// bodies. Recv comms with assignments still get scanned.
-		for _, c := range st.Body.List {
-			cc := c.(*ast.CommClause)
-			branch := held.clone()
-			if cc.Comm != nil {
-				if _, ok := cc.Comm.(*ast.SendStmt); !ok {
-					branch = w.stmt(cc.Comm, branch)
-				}
+			simpleExprs(s, func(n ast.Node) { eval(n, held) })
+		},
+		expr: func(e ast.Expr, held lockset) { eval(e, held) },
+		deferStmt: func(d *ast.DeferStmt, held lockset) {
+			if _, _, ok := mutexOp(info, d.Call); ok {
+				return
 			}
-			w.stmts(cc.Body, branch)
-		}
-		return held
-	default:
-		return held
-	}
-}
-
-// clauses walks a switch body; the result is the intersection of every
-// clause's outcome plus the fall-through state when there is no default.
-func (w *lockWalker) clauses(body *ast.BlockStmt, held lockset) lockset {
-	result := held
-	sawDefault := false
-	first := true
-	for _, c := range body.List {
-		cc, ok := c.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		for _, e := range cc.List {
-			w.scan(e, held)
-		}
-		if cc.List == nil {
-			sawDefault = true
-		}
-		out := w.stmts(cc.Body, held.clone())
-		if terminates(cc.Body) {
-			continue // this clause never falls out of the switch
-		}
-		if first {
-			result = out
-			first = false
-		} else {
-			result = intersect(result, out)
-		}
-	}
-	if !sawDefault {
-		result = intersect(result, held)
-	}
-	return result
-}
-
-// terminates reports whether a statement list always transfers control
-// away (return, branch, or panic as its final statement).
-func terminates(list []ast.Stmt) bool {
-	if len(list) == 0 {
-		return false
-	}
-	switch last := list[len(list)-1].(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, ok := last.X.(*ast.CallExpr); ok {
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-				return true
+			for _, a := range d.Call.Args {
+				eval(a, held)
 			}
-		}
-	case *ast.BlockStmt:
-		return terminates(last.List)
+		},
 	}
-	return false
-}
-
-// scan hands an expression (or decl) to the rule's onExpr hook while
-// locks are held.
-func (w *lockWalker) scan(n ast.Node, held lockset) {
-	if n == nil || len(held) == 0 || w.hooks.onExpr == nil {
-		return
-	}
-	w.hooks.onExpr(n, held)
-}
-
-// key applies the rule's keyOf to a lock receiver expression.
-func (w *lockWalker) key(recv ast.Expr) (string, bool) {
-	if w.hooks.keyOf == nil {
-		return "", false
-	}
-	return w.hooks.keyOf(recv)
-}
-
-// lockOp recognizes a mutex operation and names the lock via keyOf.
-func (w *lockWalker) lockOp(e ast.Expr) (key, op string, ok bool) {
-	recv, op, ok := mutexOp(w.pass.Pkg.Info, e)
-	if !ok {
-		return "", "", false
-	}
-	key, ok = w.key(recv)
-	if !ok {
-		return "", "", false
-	}
-	return key, op, true
 }
 
 // mutexOp recognizes a sync.Mutex/RWMutex Lock/RLock/Unlock/RUnlock call
 // and returns the receiver expression and operation name. Shared by the
-// intra-procedural lockheld-rpc walker and the interprocedural lockorder
-// summaries (which key the receiver by type rather than by spelling).
+// lock rules through lockFlow (lockorder keys the receiver by type rather
+// than by spelling).
 func mutexOp(info *types.Info, e ast.Expr) (recv ast.Expr, op string, ok bool) {
 	call, isCall := ast.Unparen(e).(*ast.CallExpr)
 	if !isCall {

@@ -22,7 +22,7 @@ import (
 // positive, so an edge from a class to itself is skipped — the rule only
 // reports cross-class cycles, where no instance ordering can save you.
 //
-// Per function the shared lockWalker (see lockheld.go) provides the
+// Per function the shared lockFlow lattice (see lockheld.go) provides the
 // path-sensitive held set; the summary records
 //
 //   - direct acquisitions (for the may-acquire closure),
@@ -88,37 +88,27 @@ func (l *lockOrder) Run(p *Pass) {
 			}
 			sum := &lockSummary{heldAt: make(map[token.Pos][]lockAcq)}
 			l.sums[fn] = sum
-			w := &lockWalker{pass: p, hooks: lockHooks{
-				keyOf: func(recv ast.Expr) (string, bool) { return lockClassOf(p.Pkg.Info, recv) },
-				onAcquire: func(key, op string, pos token.Pos, held lockset) {
+			flow := lockFlow(p.Pkg.Info,
+				func(recv ast.Expr) (string, bool) { return lockClassOf(p.Pkg.Info, recv) },
+				func(key string, pos token.Pos, held lockset) {
 					sum.acquires = append(sum.acquires, lockAcq{class: key, pos: pos})
 					for _, h := range sortedLockset(held) {
 						sum.direct = append(sum.direct, lockPair{from: h.class, to: key, pos: pos})
 					}
 				},
-				onExpr: func(n ast.Node, held lockset) {
-					ast.Inspect(n, func(x ast.Node) bool {
-						if _, ok := x.(*ast.FuncLit); ok {
-							return false
-						}
+				func(n ast.Node, held lockset) {
+					inspectFrame(n, func(x ast.Node) bool {
 						if call, ok := x.(*ast.CallExpr); ok {
 							sum.heldAt[call.Pos()] = sortedLockset(held)
 						}
 						return true
 					})
-				},
-			}}
+				})
 			// The body, then every FuncLit inside it as an independent
 			// body (the call graph attributes closure calls to this
 			// declaration, so the summary does too; the held set inside a
 			// closure is its own).
-			w.walkBody(fd.Body)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					w.walkBody(lit.Body)
-				}
-				return true
-			})
+			funcBodies(fd, func(body *ast.BlockStmt) { flow.walk(body, lockset{}) })
 		}
 	}
 }
@@ -224,29 +214,27 @@ func (l *lockOrder) Finalize(report func(Diagnostic)) {
 		}
 		may[fn] = m
 	}
-	for changed := true; changed; {
-		changed = false
-		for _, fn := range fns {
-			m := may[fn]
-			for _, e := range g.Node(fn).Edges {
-				cm := may[e.Callee.Origin()]
-				if cm == nil {
+	g.fixpoint(func(fn *types.Func, node *CGNode) bool {
+		m, changed := may[fn], false
+		for _, e := range node.Edges {
+			cm := may[e.Callee.Origin()]
+			if cm == nil {
+				continue
+			}
+			for _, class := range sortedKeys(cm) {
+				if _, ok := m[class]; ok {
 					continue
 				}
-				for _, class := range sortedKeys(cm) {
-					if _, ok := m[class]; ok {
-						continue
-					}
-					w := cm[class]
-					m[class] = acqWitness{
-						chain: append([]*types.Func{e.Callee.Origin()}, w.chain...),
-						pos:   w.pos,
-					}
-					changed = true
+				w := cm[class]
+				m[class] = acqWitness{
+					chain: append([]*types.Func{e.Callee.Origin()}, w.chain...),
+					pos:   w.pos,
 				}
+				changed = true
 			}
 		}
-	}
+		return changed
+	})
 
 	// The class digraph. First witness per (from,to) wins; self-edges are
 	// skipped — same-class ordering is an instance question this

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 )
 
@@ -14,8 +15,8 @@ import (
 // recycle the memory to another goroutine the moment Put returns, so a
 // late read is a data race and a double Put corrupts the free list.
 //
-// The analysis is a per-function gen/kill walk in the style of the lock
-// walker: acquiring binds the assigned identifier to a fresh lifetime
+// The analysis is a per-function gen/kill lattice on the dataflow engine
+// (flow.go): acquiring binds the assigned identifier to a fresh lifetime
 // token, aliasing assignments join later identifiers to the same token,
 // and a release call kills the token on the current path. Branches fork
 // the path state and re-join on the union of releases — a buffer released
@@ -60,28 +61,26 @@ func (a *poolLife) summaries(g *CallGraph) *poolSummaries {
 		returnsPooled: make(map[*types.Func]bool),
 		releases:      make(map[*types.Func]map[int]bool),
 	}
-	for changed := true; changed; {
-		changed = false
-		for _, fn := range g.Funcs() {
-			node := g.Node(fn)
-			if node.Decl == nil || node.Decl.Body == nil {
-				continue
+	g.fixpoint(func(fn *types.Func, node *CGNode) bool {
+		if node.Decl == nil || node.Decl.Body == nil {
+			return false
+		}
+		changed := false
+		if !s.returnsPooled[fn] && a.fnReturnsPooled(node, s) {
+			s.returnsPooled[fn] = true
+			changed = true
+		}
+		for _, idx := range a.fnReleasedParams(node, s) {
+			if s.releases[fn] == nil {
+				s.releases[fn] = make(map[int]bool)
 			}
-			if !s.returnsPooled[fn] && a.fnReturnsPooled(node, s) {
-				s.returnsPooled[fn] = true
+			if !s.releases[fn][idx] {
+				s.releases[fn][idx] = true
 				changed = true
 			}
-			for _, idx := range a.fnReleasedParams(node, s) {
-				if s.releases[fn] == nil {
-					s.releases[fn] = make(map[int]bool)
-				}
-				if !s.releases[fn][idx] {
-					s.releases[fn][idx] = true
-					changed = true
-				}
-			}
 		}
-	}
+		return changed
+	})
 	a.graph, a.sum = g, s
 	return s
 }
@@ -222,20 +221,10 @@ func (a *poolLife) fnReleasedParams(node *CGNode, s *poolSummaries) []int {
 }
 
 func (a *poolLife) Run(p *Pass) {
-	s := a.summaries(p.Graph)
-	w := &plWalker{pass: p, rule: a, sum: s, seen: make(map[token.Pos]bool)}
+	w := &plTransfer{pass: p, rule: a, sum: a.summaries(p.Graph), seen: make(map[token.Pos]bool)}
+	flow := w.lattice()
 	for _, f := range p.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if fn.Body != nil {
-					w.walkBody(fn.Body)
-				}
-			case *ast.FuncLit:
-				w.walkBody(fn.Body)
-			}
-			return true
-		})
+		funcBodies(f, func(body *ast.BlockStmt) { flow.walk(body, newPlState()) })
 	}
 }
 
@@ -262,62 +251,45 @@ func newPlState() *plState {
 	}
 }
 
-func (st *plState) clone() *plState {
-	out := newPlState()
-	for k, v := range st.bind {
-		out.bind[k] = v
-	}
-	for k, v := range st.released {
-		out.released[k] = v
-	}
-	for k, v := range st.deferred {
-		out.deferred[k] = v
-	}
-	return out
-}
-
-// merge unions b into st: a buffer released (or bound) on either joining
-// path counts afterwards — the may-released direction.
-func (st *plState) merge(b *plState) {
-	for k, v := range b.bind {
-		if _, ok := st.bind[k]; !ok {
-			st.bind[k] = v
-		}
-	}
-	for k, v := range b.released {
-		if _, ok := st.released[k]; !ok {
-			st.released[k] = v
-		}
-	}
-	for k, v := range b.deferred {
-		if _, ok := st.deferred[k]; !ok {
-			st.deferred[k] = v
-		}
-	}
-}
-
-// plWalker walks one body in statement order threading plState, with
-// lockWalker's branching semantics (fork, union join, terminating-branch
-// exclusion).
-type plWalker struct {
+// plTransfer holds poollife's transfer functions for one package.
+type plTransfer struct {
 	pass *Pass
 	rule *poolLife
 	sum  *poolSummaries
 	seen map[token.Pos]bool // report dedup across re-scanned subtrees
 }
 
-func (w *plWalker) walkBody(body *ast.BlockStmt) {
-	w.stmts(body.List, newPlState())
-}
-
-func (w *plWalker) stmts(list []ast.Stmt, st *plState) *plState {
-	for _, s := range list {
-		st = w.stmt(s, st)
+// lattice is poollife's path lattice: may-released, so joins take the
+// union (a buffer released on either arm of an if counts as released
+// afterwards), and a release inside a loop body is not carried past the
+// loop or into the next iteration.
+func (w *plTransfer) lattice() *flowLattice[*plState] {
+	return &flowLattice[*plState]{
+		clone: func(st *plState) *plState {
+			return &plState{bind: maps.Clone(st.bind), released: maps.Clone(st.released), deferred: maps.Clone(st.deferred)}
+		},
+		join: func(a, b *plState) *plState {
+			mayJoin(a.bind, b.bind)
+			mayJoin(a.released, b.released)
+			mayJoin(a.deferred, b.deferred)
+			return a
+		},
+		stmt: w.stmt,
+		expr: func(e ast.Expr, st *plState) { w.checkUses(e, st) },
+		deferStmt: func(d *ast.DeferStmt, st *plState) {
+			if idxs := w.rule.releaseArgs(w.pass.Pkg.Info, d.Call, w.sum); idxs != nil {
+				w.release(d.Call, idxs, st, true)
+				return
+			}
+			for _, a := range d.Call.Args {
+				w.checkUses(a, st)
+			}
+		},
+		loop: func(pre, _ *plState) (*plState, bool) { return pre, false },
 	}
-	return st
 }
 
-func (w *plWalker) report(pos token.Pos, format string, args ...any) {
+func (w *plTransfer) report(pos token.Pos, format string, args ...any) {
 	if w.seen[pos] {
 		return
 	}
@@ -327,15 +299,9 @@ func (w *plWalker) report(pos token.Pos, format string, args ...any) {
 
 // checkUses reports any read of an identifier whose token is released on
 // this path. FuncLits are skipped (walked as independent bodies).
-func (w *plWalker) checkUses(n ast.Node, st *plState) {
-	if n == nil {
-		return
-	}
+func (w *plTransfer) checkUses(n ast.Node, st *plState) {
 	info := w.pass.Pkg.Info
-	ast.Inspect(n, func(x ast.Node) bool {
-		if _, ok := x.(*ast.FuncLit); ok {
-			return false
-		}
+	inspectFrame(n, func(x ast.Node) bool {
 		id, ok := x.(*ast.Ident)
 		if !ok {
 			return true
@@ -353,7 +319,7 @@ func (w *plWalker) checkUses(n ast.Node, st *plState) {
 }
 
 // tokenOf resolves an argument expression to the lifetime token it names.
-func (w *plWalker) tokenOf(e ast.Expr, st *plState) *plToken {
+func (w *plTransfer) tokenOf(e ast.Expr, st *plState) *plToken {
 	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
 		return st.bind[w.pass.Pkg.Info.Uses[id]]
 	}
@@ -362,7 +328,7 @@ func (w *plWalker) tokenOf(e ast.Expr, st *plState) *plToken {
 
 // release processes a releasing call: double-release detection, then the
 // kill (or, for defers, the pending-release mark).
-func (w *plWalker) release(call *ast.CallExpr, idxs []int, st *plState, isDefer bool) {
+func (w *plTransfer) release(call *ast.CallExpr, idxs []int, st *plState, isDefer bool) {
 	fset := w.pass.Fset
 	releasing := make(map[int]bool, len(idxs))
 	for _, i := range idxs {
@@ -401,7 +367,7 @@ func (w *plWalker) release(call *ast.CallExpr, idxs []int, st *plState, isDefer 
 
 // exprStmt handles a statement-position expression: release calls get
 // gen/kill treatment, everything else a use scan.
-func (w *plWalker) exprStmt(e ast.Expr, st *plState) {
+func (w *plTransfer) exprStmt(e ast.Expr, st *plState) {
 	if call, ok := ast.Unparen(e).(*ast.CallExpr); ok {
 		if idxs := w.rule.releaseArgs(w.pass.Pkg.Info, call, w.sum); idxs != nil {
 			w.checkUses(call.Fun, st)
@@ -428,7 +394,7 @@ func poolAliasType(t types.Type) bool {
 
 // aliasToken returns the token e's value may alias, skipping fresh
 // allocations and size queries (make/new/len/cap/copy roots).
-func (w *plWalker) aliasToken(e ast.Expr, st *plState) *plToken {
+func (w *plTransfer) aliasToken(e ast.Expr, st *plState) *plToken {
 	if call, ok := ast.Unparen(e).(*ast.CallExpr); ok {
 		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 			if _, builtin := w.pass.Pkg.Info.Uses[id].(*types.Builtin); builtin {
@@ -441,10 +407,7 @@ func (w *plWalker) aliasToken(e ast.Expr, st *plState) *plToken {
 	}
 	info := w.pass.Pkg.Info
 	var tok *plToken
-	ast.Inspect(e, func(x ast.Node) bool {
-		if _, ok := x.(*ast.FuncLit); ok {
-			return false
-		}
+	inspectFrame(e, func(x ast.Node) bool {
 		if tok != nil {
 			return false
 		}
@@ -459,7 +422,7 @@ func (w *plWalker) aliasToken(e ast.Expr, st *plState) *plToken {
 // bindLHS binds one assignment target. Pooled-source results gen a fresh
 // token; alias-capable RHS joins the existing token; anything else clears
 // a stale binding.
-func (w *plWalker) bindLHS(lhs, rhs ast.Expr, st *plState) {
+func (w *plTransfer) bindLHS(lhs, rhs ast.Expr, st *plState) {
 	info := w.pass.Pkg.Info
 	id, ok := lhs.(*ast.Ident)
 	if !ok || id.Name == "_" {
@@ -485,7 +448,7 @@ func (w *plWalker) bindLHS(lhs, rhs ast.Expr, st *plState) {
 	delete(st.bind, obj)
 }
 
-func (w *plWalker) assign(lhs, rhs []ast.Expr, st *plState) {
+func (w *plTransfer) assign(lhs, rhs []ast.Expr, st *plState) {
 	for _, r := range rhs {
 		w.checkUses(r, st)
 	}
@@ -508,18 +471,13 @@ func (w *plWalker) assign(lhs, rhs []ast.Expr, st *plState) {
 	}
 }
 
-func (w *plWalker) stmt(s ast.Stmt, st *plState) *plState {
+// stmt is the transfer for simple statements.
+func (w *plTransfer) stmt(s ast.Stmt, st *plState, _ bool) {
 	switch x := s.(type) {
-	case nil:
-		return st
-	case *ast.BlockStmt:
-		return w.stmts(x.List, st)
 	case *ast.ExprStmt:
 		w.exprStmt(x.X, st)
-		return st
 	case *ast.AssignStmt:
 		w.assign(x.Lhs, x.Rhs, st)
-		return st
 	case *ast.DeclStmt:
 		if gd, ok := x.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
@@ -534,110 +492,10 @@ func (w *plWalker) stmt(s ast.Stmt, st *plState) *plState {
 				w.assign(lhs, vs.Values, st)
 			}
 		}
-		return st
-	case *ast.DeferStmt:
-		if idxs := w.rule.releaseArgs(w.pass.Pkg.Info, x.Call, w.sum); idxs != nil {
-			w.release(x.Call, idxs, st, true)
-			return st
-		}
-		for _, a := range x.Call.Args {
-			w.checkUses(a, st)
-		}
-		return st
-	case *ast.GoStmt:
-		for _, a := range x.Call.Args {
-			w.checkUses(a, st)
-		}
-		return st
 	case *ast.SendStmt:
 		w.checkUses(x.Chan, st)
 		w.checkUses(x.Value, st)
-		return st
 	case *ast.IncDecStmt:
 		w.checkUses(x.X, st)
-		return st
-	case *ast.ReturnStmt:
-		for _, r := range x.Results {
-			w.checkUses(r, st)
-		}
-		return st
-	case *ast.LabeledStmt:
-		return w.stmt(x.Stmt, st)
-	case *ast.IfStmt:
-		st = w.stmt(x.Init, st)
-		w.checkUses(x.Cond, st)
-		then := w.stmts(x.Body.List, st.clone())
-		alt := st.clone()
-		altTerm := false
-		if x.Else != nil {
-			alt = w.stmt(x.Else, alt)
-			if blk, ok := x.Else.(*ast.BlockStmt); ok {
-				altTerm = terminates(blk.List)
-			}
-		}
-		switch {
-		case terminates(x.Body.List) && altTerm:
-			return st
-		case terminates(x.Body.List):
-			return alt
-		case altTerm:
-			return then
-		}
-		then.merge(alt)
-		return then
-	case *ast.ForStmt:
-		st = w.stmt(x.Init, st)
-		w.checkUses(x.Cond, st)
-		body := w.stmts(x.Body.List, st.clone())
-		w.stmt(x.Post, body)
-		return st
-	case *ast.RangeStmt:
-		w.checkUses(x.X, st)
-		w.stmts(x.Body.List, st.clone())
-		return st
-	case *ast.SwitchStmt:
-		st = w.stmt(x.Init, st)
-		w.checkUses(x.Tag, st)
-		return w.caseClauses(x.Body, st)
-	case *ast.TypeSwitchStmt:
-		st = w.stmt(x.Init, st)
-		w.stmt(x.Assign, st)
-		return w.caseClauses(x.Body, st)
-	case *ast.SelectStmt:
-		out := st.clone()
-		for _, c := range x.Body.List {
-			cc := c.(*ast.CommClause)
-			branch := st.clone()
-			if cc.Comm != nil {
-				branch = w.stmt(cc.Comm, branch)
-			}
-			branch = w.stmts(cc.Body, branch)
-			if !terminates(cc.Body) {
-				out.merge(branch)
-			}
-		}
-		return out
-	default:
-		return st
 	}
-}
-
-// caseClauses walks a switch body forking per clause and union-joining
-// the non-terminating outcomes.
-func (w *plWalker) caseClauses(body *ast.BlockStmt, st *plState) *plState {
-	out := st.clone()
-	for _, c := range body.List {
-		cc, ok := c.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		for _, e := range cc.List {
-			w.checkUses(e, st)
-		}
-		branch := w.stmts(cc.Body, st.clone())
-		if !terminates(cc.Body) {
-			out.merge(branch)
-		}
-	}
-	return out
 }

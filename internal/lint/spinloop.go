@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -46,73 +45,22 @@ func (s *spinLoop) Finalize(report func(Diagnostic)) {
 	if s.graph == nil {
 		return
 	}
-	var roots []*types.Func
-	cold := make(map[*types.Func]bool)
-	for _, fn := range s.graph.Funcs() {
-		node := s.graph.Node(fn)
-		if declMarked(node.Decl, "kslint:hotpath") {
-			roots = append(roots, fn)
-		}
-		if declMarked(node.Decl, "kslint:coldpath") {
-			cold[fn] = true
-		}
-	}
-	if len(roots) == 0 {
+	hot, _ := hotRegion(s.graph)
+	if hot == nil {
 		return
 	}
-	sort.Slice(roots, func(i, j int) bool { return FuncID(roots[i]) < FuncID(roots[j]) })
-
 	blocks := s.blockSummaries()
-
-	// Hot reachability with parent links, exactly hotalloc's walk.
-	parent := make(map[*types.Func]*types.Func)
-	reach := make(map[*types.Func]bool)
-	queue := append([]*types.Func(nil), roots...)
-	for _, r := range roots {
-		reach[r] = true
-	}
-	for len(queue) > 0 {
-		fn := queue[0]
-		queue = queue[1:]
-		node := s.graph.Node(fn)
-		if node == nil || node.Decl == nil {
-			continue
-		}
-		for _, e := range node.Edges {
-			callee := e.Callee.Origin()
-			if reach[callee] || cold[callee] {
-				continue
-			}
-			if n := s.graph.Node(callee); n == nil || n.Decl == nil {
-				continue
-			}
-			reach[callee] = true
-			parent[callee] = fn
-			queue = append(queue, callee)
-		}
-	}
-
-	chain := func(fn *types.Func) string {
-		var names []string
-		for f := fn; f != nil; f = parent[f] {
-			names = append(names, s.graph.displayName(f))
-		}
-		for i, j := 0, len(names)-1; i < j; i, j = i+1, j-1 {
-			names[i], names[j] = names[j], names[i]
-		}
-		return "hot via " + strings.Join(names, " → ")
-	}
 
 	var found []Diagnostic
 	for _, fn := range s.graph.Funcs() {
-		if !reach[fn] {
+		if !hot.in[fn] {
 			continue
 		}
 		node := s.graph.Node(fn)
 		if node.Decl == nil || node.Decl.Body == nil {
 			continue
 		}
-		where := chain(fn)
+		where := "hot via " + hot.chain(fn)
 		for _, pos := range spinLoops(node.Pkg.Info, node.Decl.Body, blocks) {
 			found = append(found, Diagnostic{
 				Pos:  s.fset.Position(pos),
@@ -142,25 +90,18 @@ func (s *spinLoop) blockSummaries() map[*types.Func]bool {
 			blocks[fn] = true
 		}
 	}
-	for changed := true; changed; {
-		changed = false
-		for _, fn := range s.graph.Funcs() {
-			if blocks[fn] {
-				continue
-			}
-			node := s.graph.Node(fn)
-			if node == nil {
-				continue
-			}
-			for _, e := range node.Edges {
-				if blocks[e.Callee.Origin()] || blockingStdlib(e.Callee) {
-					blocks[fn] = true
-					changed = true
-					break
-				}
+	s.graph.fixpoint(func(fn *types.Func, node *CGNode) bool {
+		if blocks[fn] {
+			return false
+		}
+		for _, e := range node.Edges {
+			if blocks[e.Callee.Origin()] || blockingStdlib(e.Callee) {
+				blocks[fn] = true
+				return true
 			}
 		}
-	}
+		return false
+	})
 	return blocks
 }
 

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"time"
@@ -57,11 +58,14 @@ func RunTimed(root string, cfg Config, ruleFilter []string) ([]Diagnostic, Timin
 	if err != nil {
 		return nil, Timings{}, err
 	}
+	analyzers, err := selectAnalyzers(loader.ModulePath(), ruleFilter)
+	if err != nil {
+		return nil, Timings{}, err
+	}
 	mod, err := loader.LoadAll()
 	if err != nil {
 		return nil, Timings{}, err
 	}
-	analyzers := selectAnalyzers(mod.Path, ruleFilter)
 	diags, timings := RunAnalyzersTimed(mod, cfg, analyzers)
 	return diags, timings, nil
 }
@@ -118,15 +122,27 @@ func RunAnalyzersTimed(mod *Module, cfg Config, analyzers []Analyzer) ([]Diagnos
 }
 
 // selectAnalyzers resolves the rule subset for a module, all rules when
-// the filter is empty.
-func selectAnalyzers(module string, ruleFilter []string) []Analyzer {
+// the filter is empty. A name that matches no rule is an error: a
+// misspelled or retired rule must not silently lint nothing.
+func selectAnalyzers(module string, ruleFilter []string) ([]Analyzer, error) {
 	analyzers := Analyzers(module)
 	if len(ruleFilter) == 0 {
-		return analyzers
+		return analyzers, nil
+	}
+	known := make(map[string]bool, len(analyzers))
+	for _, a := range analyzers {
+		known[a.Name()] = true
 	}
 	keep := make(map[string]bool, len(ruleFilter))
 	for _, r := range ruleFilter {
-		keep[strings.TrimSpace(r)] = true
+		r = strings.TrimSpace(r)
+		if r == "" {
+			continue
+		}
+		if !known[r] {
+			return nil, fmt.Errorf("unknown rule %q (kslint -list shows the rules)", r)
+		}
+		keep[r] = true
 	}
 	var sel []Analyzer
 	for _, a := range analyzers {
@@ -134,5 +150,5 @@ func selectAnalyzers(module string, ruleFilter []string) []Analyzer {
 			sel = append(sel, a)
 		}
 	}
-	return sel
+	return sel, nil
 }

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 )
 
@@ -192,25 +193,8 @@ type txnSt struct {
 // missing key means Unknown.
 type txnState map[string]txnSt
 
-func (s txnState) clone() txnState {
-	out := make(txnState, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
-
-func joinTxn(a, b txnState) txnState {
-	out := txnState{}
-	for k, va := range a {
-		if vb, ok := b[k]; ok && va.kind == vb.kind {
-			out[k] = va
-		}
-	}
-	return out
-}
-
-type txnWalker struct {
+// txnTransfer holds txnproto's transfer functions for one function body.
+type txnTransfer struct {
 	rule       *txnProto
 	pass       *Pass
 	fn         *types.Func
@@ -230,25 +214,37 @@ func (t *txnProto) Run(p *Pass) {
 			if !ok {
 				continue
 			}
-			w := &txnWalker{rule: t, pass: p, fn: fn, hasErr: lastResultIsError(fn)}
-			w.stmts(fd.Body.List, txnState{})
+			w := &txnTransfer{rule: t, pass: p, fn: fn, hasErr: lastResultIsError(fn)}
+			w.lattice().walk(fd.Body, txnState{})
 		}
 	}
 }
 
-func (w *txnWalker) stmts(list []ast.Stmt, st txnState) txnState {
-	for _, s := range list {
-		st = w.stmt(s, st)
+// lattice is txnproto's path lattice: a join keeps a receiver's state
+// only where both paths agree (different states widen to Unknown), and
+// the `if err := op(); err != nil` idiom splits into precise failure and
+// success states.
+func (w *txnTransfer) lattice() *flowLattice[txnState] {
+	return &flowLattice[txnState]{
+		clone: maps.Clone[txnState],
+		join: func(a, b txnState) txnState {
+			return mustJoin(a, b, func(x, y txnSt) bool { return x.kind == y.kind })
+		},
+		stmt:      w.stmt,
+		expr:      func(e ast.Expr, st txnState) { w.scanExpr(e, st) },
+		deferStmt: w.deferStmt,
+		exit: func(_ token.Pos, ret *ast.ReturnStmt, st txnState) {
+			if ret != nil {
+				w.checkEscape(ret, st)
+			}
+		},
+		split: w.errIdiom,
 	}
-	return st
 }
 
-func (w *txnWalker) stmt(s ast.Stmt, st txnState) txnState {
+// stmt is the transfer for simple statements.
+func (w *txnTransfer) stmt(s ast.Stmt, st txnState, _ bool) {
 	switch n := s.(type) {
-	case nil:
-		return st
-	case *ast.BlockStmt:
-		return w.stmts(n.List, st)
 	case *ast.ExprStmt:
 		// A bare op call: the error is discarded, so the op is modeled as
 		// taking effect (that discard is errdrop's problem, not ours).
@@ -256,11 +252,9 @@ func (w *txnWalker) stmt(s ast.Stmt, st txnState) txnState {
 			if op, recv, ok := w.rule.opOf(w.pass.Pkg.Info, call); ok {
 				w.checkOp(op, recv, st, call.Pos())
 				w.applySuccess(op, recv, st, call.Pos())
-				return st
+				return
 			}
 		}
-		w.scanExpr(n.X, st)
-		return st
 	case *ast.AssignStmt:
 		// x := Constructor(...) starts a fresh, definitely-closed producer.
 		if n.Tok == token.DEFINE && len(n.Lhs) >= 1 && len(n.Rhs) >= 1 {
@@ -281,7 +275,7 @@ func (w *txnWalker) stmt(s ast.Stmt, st txnState) txnState {
 			for _, lhs := range n.Lhs {
 				w.scanExpr(lhs, st)
 			}
-			return st
+			return
 		}
 		// `_ = recv.Op()` discards the error like a bare call.
 		if len(n.Lhs) == 1 && len(n.Rhs) == 1 {
@@ -290,193 +284,67 @@ func (w *txnWalker) stmt(s ast.Stmt, st txnState) txnState {
 					if op, recv, ok := w.rule.opOf(w.pass.Pkg.Info, call); ok {
 						w.checkOp(op, recv, st, call.Pos())
 						w.applySuccess(op, recv, st, call.Pos())
-						return st
+						return
 					}
 				}
 			}
 		}
-		for _, e := range n.Rhs {
-			w.scanExpr(e, st)
+	}
+	simpleExprs(s, func(e ast.Node) { w.scanExpr(e, st) })
+}
+
+// deferStmt records a deferred abort (directly or through a helper whose
+// closure reaches one): it covers every later error exit.
+func (w *txnTransfer) deferStmt(d *ast.DeferStmt, st txnState) {
+	if op, _, ok := w.rule.opOf(w.pass.Pkg.Info, d.Call); ok {
+		if op == "AbortTxn" {
+			w.deferAbort = true
 		}
-		for _, e := range n.Lhs {
-			w.scanExpr(e, st)
-		}
-		return st
-	case *ast.DeclStmt:
-		w.scanExpr(n.Decl, st)
-		return st
-	case *ast.DeferStmt:
-		// A deferred abort (directly or through a helper whose closure
-		// reaches one) covers every later error exit.
-		if op, recv, ok := w.rule.opOf(w.pass.Pkg.Info, n.Call); ok {
-			_ = recv
-			if op == "AbortTxn" {
-				w.deferAbort = true
+		return
+	}
+	if fn := calleeFunc(w.pass.Pkg.Info, d.Call); fn != nil && w.rule.graph.Node(fn) != nil {
+		hitAbort := func(callee *types.Func) bool {
+			if op, ok := w.rule.primitiveOp(callee); ok {
+				return op == "AbortTxn"
 			}
-			return st
+			return w.rule.wrappers[callee] == "AbortTxn"
 		}
-		if fn := calleeFunc(w.pass.Pkg.Info, n.Call); fn != nil && w.rule.graph.Node(fn) != nil {
-			hitAbort := func(callee *types.Func) bool {
-				if op, ok := w.rule.primitiveOp(callee); ok {
-					return op == "AbortTxn"
-				}
-				return w.rule.wrappers[callee] == "AbortTxn"
-			}
-			if hitAbort(fn.Origin()) || w.rule.graph.FindPath(fn.Origin(), hitAbort, nil) != nil {
-				w.deferAbort = true
-			}
+		if hitAbort(fn.Origin()) || w.rule.graph.FindPath(fn.Origin(), hitAbort, nil) != nil {
+			w.deferAbort = true
 		}
-		for _, a := range n.Call.Args {
-			w.scanExpr(a, st)
-		}
-		return st
-	case *ast.GoStmt:
-		for _, a := range n.Call.Args {
-			w.scanExpr(a, st)
-		}
-		return st
-	case *ast.SendStmt:
-		w.scanExpr(n.Chan, st)
-		w.scanExpr(n.Value, st)
-		return st
-	case *ast.IncDecStmt:
-		w.scanExpr(n.X, st)
-		return st
-	case *ast.LabeledStmt:
-		return w.stmt(n.Stmt, st)
-	case *ast.ReturnStmt:
-		for _, e := range n.Results {
-			w.scanExpr(e, st)
-		}
-		w.checkEscape(n, st)
-		return st
-	case *ast.IfStmt:
-		if out, handled := w.errIdiom(n, st); handled {
-			return out
-		}
-		st = w.stmt(n.Init, st)
-		w.scanExpr(n.Cond, st)
-		then := w.stmts(n.Body.List, st.clone())
-		alt := st.clone()
-		altTerm := false
-		if n.Else != nil {
-			alt = w.stmt(n.Else, alt)
-			if blk, ok := n.Else.(*ast.BlockStmt); ok {
-				altTerm = terminates(blk.List)
-			}
-		}
-		switch {
-		case terminates(n.Body.List) && altTerm:
-			return st
-		case terminates(n.Body.List):
-			return alt
-		case altTerm:
-			return then
-		}
-		return joinTxn(then, alt)
-	case *ast.ForStmt:
-		st = w.stmt(n.Init, st)
-		w.scanExpr(n.Cond, st)
-		body := w.stmts(n.Body.List, st.clone())
-		w.stmt(n.Post, body)
-		// The loop body may or may not run (and may run again): keep only
-		// what body and entry agree on.
-		return joinTxn(st, body)
-	case *ast.RangeStmt:
-		w.scanExpr(n.X, st)
-		body := w.stmts(n.Body.List, st.clone())
-		return joinTxn(st, body)
-	case *ast.SwitchStmt:
-		st = w.stmt(n.Init, st)
-		w.scanExpr(n.Tag, st)
-		return w.clauses(n.Body, st)
-	case *ast.TypeSwitchStmt:
-		st = w.stmt(n.Init, st)
-		w.stmt(n.Assign, st)
-		return w.clauses(n.Body, st)
-	case *ast.SelectStmt:
-		var outs []txnState
-		for _, c := range n.Body.List {
-			cc := c.(*ast.CommClause)
-			branch := st.clone()
-			branch = w.stmt(cc.Comm, branch)
-			branch = w.stmts(cc.Body, branch)
-			if !terminates(cc.Body) {
-				outs = append(outs, branch)
-			}
-		}
-		if len(outs) == 0 {
-			return st
-		}
-		out := outs[0]
-		for _, o := range outs[1:] {
-			out = joinTxn(out, o)
-		}
-		return out
-	default:
-		return st
+	}
+	for _, a := range d.Call.Args {
+		w.scanExpr(a, st)
 	}
 }
 
-func (w *txnWalker) clauses(body *ast.BlockStmt, st txnState) txnState {
-	result := st
-	sawDefault := false
-	first := true
-	for _, c := range body.List {
-		cc, ok := c.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		for _, e := range cc.List {
-			w.scanExpr(e, st)
-		}
-		if cc.List == nil {
-			sawDefault = true
-		}
-		out := w.stmts(cc.Body, st.clone())
-		if terminates(cc.Body) {
-			continue
-		}
-		if first {
-			result = out
-			first = false
-		} else {
-			result = joinTxn(result, out)
-		}
-	}
-	if !sawDefault {
-		result = joinTxn(result, st)
-	}
-	return result
-}
-
-// errIdiom handles `if err := recv.Op(); err != nil { ... }` (and the
+// errIdiom splits `if err := recv.Op(); err != nil { ... }` (and the
 // err == nil flip): the op's violation check runs against the pre-state,
 // then the two branches see the precise failure/success states.
-func (w *txnWalker) errIdiom(n *ast.IfStmt, st txnState) (txnState, bool) {
+func (w *txnTransfer) errIdiom(n *ast.IfStmt, st txnState) (then, els txnState, ok bool) {
 	asn, ok := n.Init.(*ast.AssignStmt)
 	if !ok || len(asn.Lhs) != 1 || len(asn.Rhs) != 1 {
-		return nil, false
+		return nil, nil, false
 	}
 	errID, ok := asn.Lhs[0].(*ast.Ident)
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
 	call, ok := ast.Unparen(asn.Rhs[0]).(*ast.CallExpr)
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
 	op, recv, ok := w.rule.opOf(w.pass.Pkg.Info, call)
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
 	bin, ok := n.Cond.(*ast.BinaryExpr)
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
 	condID, ok := ast.Unparen(bin.X).(*ast.Ident)
 	if !ok || condID.Name != errID.Name || !isNilIdent(bin.Y) {
-		return nil, false
+		return nil, nil, false
 	}
 	var failFirst bool
 	switch bin.Op {
@@ -485,37 +353,18 @@ func (w *txnWalker) errIdiom(n *ast.IfStmt, st txnState) (txnState, bool) {
 	case token.EQL:
 		failFirst = false
 	default:
-		return nil, false
+		return nil, nil, false
 	}
 
 	w.checkOp(op, recv, st, call.Pos())
-	succ := st.clone()
+	succ := maps.Clone(st)
 	w.applySuccess(op, recv, succ, call.Pos())
-	fail := st.clone()
+	fail := maps.Clone(st)
 	w.applyFailure(op, recv, fail, call.Pos())
-
-	thenIn, elseIn := succ, fail
 	if failFirst {
-		thenIn, elseIn = fail, succ
+		return fail, succ, true
 	}
-	then := w.stmts(n.Body.List, thenIn.clone())
-	alt := elseIn.clone()
-	altTerm := false
-	if n.Else != nil {
-		alt = w.stmt(n.Else, alt)
-		if blk, ok := n.Else.(*ast.BlockStmt); ok {
-			altTerm = terminates(blk.List)
-		}
-	}
-	switch {
-	case terminates(n.Body.List) && altTerm:
-		return st, true
-	case terminates(n.Body.List):
-		return alt, true
-	case altTerm:
-		return then, true
-	}
-	return joinTxn(then, alt), true
+	return succ, fail, true
 }
 
 func isNilIdent(e ast.Expr) bool {
@@ -525,7 +374,7 @@ func isNilIdent(e ast.Expr) bool {
 
 // isProducerType reports whether t is (a pointer to) client.Producer or
 // a module type owning classified wrapper methods.
-func (w *txnWalker) isProducerType(t types.Type) bool {
+func (w *txnTransfer) isProducerType(t types.Type) bool {
 	named := namedOf(t)
 	if named == nil || named.Obj().Pkg() == nil {
 		return false
@@ -546,14 +395,8 @@ func (w *txnWalker) isProducerType(t types.Type) bool {
 // scanExpr walks an expression: nested protocol ops (result consumed by
 // arbitrary code) widen their receiver to Unknown, and calls into module
 // code that touches the txn machine widen everything.
-func (w *txnWalker) scanExpr(n ast.Node, st txnState) {
-	if n == nil {
-		return
-	}
-	ast.Inspect(n, func(x ast.Node) bool {
-		if _, ok := x.(*ast.FuncLit); ok {
-			return false
-		}
+func (w *txnTransfer) scanExpr(n ast.Node, st txnState) {
+	inspectFrame(n, func(x ast.Node) bool {
 		call, ok := x.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -578,7 +421,7 @@ func (w *txnWalker) scanExpr(n ast.Node, st txnState) {
 
 // checkOp reports protocol violations of op against the receiver's
 // current state.
-func (w *txnWalker) checkOp(op string, recv ast.Expr, st txnState, pos token.Pos) {
+func (w *txnTransfer) checkOp(op string, recv ast.Expr, st txnState, pos token.Pos) {
 	key := types.ExprString(recv)
 	cur := st[key] // zero value = Unknown
 	switch op {
@@ -604,7 +447,7 @@ func (w *txnWalker) checkOp(op string, recv ast.Expr, st txnState, pos token.Pos
 }
 
 // applySuccess transitions the receiver's state as if op succeeded.
-func (w *txnWalker) applySuccess(op string, recv ast.Expr, st txnState, pos token.Pos) {
+func (w *txnTransfer) applySuccess(op string, recv ast.Expr, st txnState, pos token.Pos) {
 	key := types.ExprString(recv)
 	switch op {
 	case "BeginTxn":
@@ -619,7 +462,7 @@ func (w *txnWalker) applySuccess(op string, recv ast.Expr, st txnState, pos toke
 }
 
 // applyFailure transitions the receiver's state as if op failed.
-func (w *txnWalker) applyFailure(op string, recv ast.Expr, st txnState, pos token.Pos) {
+func (w *txnTransfer) applyFailure(op string, recv ast.Expr, st txnState, pos token.Pos) {
 	key := types.ExprString(recv)
 	switch op {
 	case "BeginTxn":
@@ -640,7 +483,7 @@ func (w *txnWalker) applyFailure(op string, recv ast.Expr, st txnState, pos toke
 // function returns a non-nil final error expression) and some receiver
 // is definitely Open, an abort must be reachable from a transitive
 // caller or registered via defer.
-func (w *txnWalker) checkEscape(ret *ast.ReturnStmt, st txnState) {
+func (w *txnTransfer) checkEscape(ret *ast.ReturnStmt, st txnState) {
 	if !w.hasErr || w.deferAbort || len(ret.Results) == 0 {
 		return
 	}

@@ -99,42 +99,40 @@ func (z *zeroCopy) summaries(g *CallGraph) *zcSummaries {
 		returnsShared: make(map[*types.Func]zcProv),
 		retains:       make(map[*types.Func]map[int]zcProv),
 	}
-	for iter, changed := 0, true; changed && iter < 8; iter++ {
-		changed = false
-		for _, fn := range g.Funcs() {
-			node := g.Node(fn)
-			if node.Decl == nil || node.Decl.Body == nil {
-				continue
-			}
-			// Returns-shared: source taint only.
-			if _, have := s.returnsShared[fn]; !have {
-				e := z.newEval(node, s)
-				e.propagate(node.Decl.Body)
-				if pv, ok := e.returnsTainted(node.Decl.Body); ok {
-					s.returnsShared[fn] = pv
-					changed = true
-				}
-			}
-			// Retains: parameter taint flowing into long-lived sinks.
-			pe := z.newEval(node, s)
-			if !pe.seedParams(node) {
-				continue
-			}
-			pe.propagate(node.Decl.Body)
-			pe.scanSinks(node.Decl.Body, func(pv zcProv, target string, pos token.Pos) {
-				if pv.param < 0 {
-					return // source-derived: reported at the package pass
-				}
-				if s.retains[fn] == nil {
-					s.retains[fn] = make(map[int]zcProv)
-				}
-				if _, have := s.retains[fn][pv.param]; !have {
-					s.retains[fn][pv.param] = zcProv{desc: target, pos: pos, param: -1}
-					changed = true
-				}
-			})
+	g.fixpoint(func(fn *types.Func, node *CGNode) bool {
+		if node.Decl == nil || node.Decl.Body == nil {
+			return false
 		}
-	}
+		changed := false
+		// Returns-shared: source taint only.
+		if _, have := s.returnsShared[fn]; !have {
+			e := z.newEval(node, s)
+			e.propagate(node.Decl.Body)
+			if pv, ok := e.returnsTainted(node.Decl.Body); ok {
+				s.returnsShared[fn] = pv
+				changed = true
+			}
+		}
+		// Retains: parameter taint flowing into long-lived sinks.
+		pe := z.newEval(node, s)
+		if !pe.seedParams(node) {
+			return changed
+		}
+		pe.propagate(node.Decl.Body)
+		pe.scanSinks(node.Decl.Body, func(pv zcProv, target string, pos token.Pos) {
+			if pv.param < 0 {
+				return // source-derived: reported at the package pass
+			}
+			if s.retains[fn] == nil {
+				s.retains[fn] = make(map[int]zcProv)
+			}
+			if _, have := s.retains[fn][pv.param]; !have {
+				s.retains[fn][pv.param] = zcProv{desc: target, pos: pos, param: -1}
+				changed = true
+			}
+		})
+		return changed
+	})
 	z.sum = s
 	return s
 }

@@ -6,7 +6,7 @@ import "time"
 // transport's injected network delay, the object store's simulated PUT
 // latency, the broker's per-append storage cost, and the stream thread's
 // idle poll all sleep through a Clock instead of calling time.Sleep
-// directly (kslint's nosleep rule enforces this). Routing every wait
+// directly (kslint's wallclock rule enforces this). Routing every wait
 // through one seam keeps fault-injection timing deterministic: a test can
 // substitute a virtual clock and observe or collapse the schedule without
 // the components knowing.
