@@ -65,8 +65,9 @@ bench-obs:
 # bench-matrix: the produce/fetch macro-bench matrix (DESIGN.md §10)
 # plus the recovery MTTR pair (DESIGN.md §13). Writes fresh BENCH_*.json
 # into bench-artifacts/ and fails on a >10% records/sec regression — or a
-# >10% MTTR regression past the 25ms noise floor — against the files
-# committed at the repo root. The matrix runs -quick (its baselines are
+# >10% MTTR regression past the 50ms noise floor (mttrNoiseFloorMs in
+# internal/experiments/recovery.go) — against the files committed at the
+# repo root. The matrix runs -quick (its baselines are
 # quick-profile); the recovery pair runs the full profile because MTTR
 # only separates from scheduler jitter with real state to restore, and
 # the committed recovery baselines are full-profile. The out and

@@ -228,25 +228,47 @@ func (b *Broker) handleRPC(from int32, req any) any {
 
 func (b *Broker) handleProduce(r *protocol.ProduceRequest) *protocol.ProduceResponse {
 	defer b.metrics.produceLat.ObserveSince(b.clock.Now())
-	// Append every partition first, then wait for replication of all of
-	// them: the acks=all round-trips of independent partitions overlap.
-	resp := &protocol.ProduceResponse{}
-	waits := make([]func() protocol.ErrorCode, len(r.Entries))
-	for i, e := range r.Entries {
-		p := b.partition(e.TP)
+	// acks=leader: the append is durable on the leader, so reply without
+	// waiting for replication. Partitions owned by a coordinator are
+	// excluded — their append hook must only fire once the batch is
+	// committed, so they always wait.
+	acksLeader := r.Acks == protocol.AcksLeader
+	return &protocol.ProduceResponse{Results: b.appendThenWait(len(r.Entries), acksLeader,
+		func(i int) (*partition, *protocol.RecordBatch, protocol.ProduceResult) {
+			e := r.Entries[i]
+			p := b.partition(e.TP)
+			if p == nil {
+				return nil, nil, protocol.ProduceResult{TP: e.TP, Err: protocol.ErrUnknownTopicOrPartition}
+			}
+			return p, e.Batch, protocol.ProduceResult{}
+		})}
+}
+
+// appendThenWait is the write path shared by produce and transaction
+// marker requests, in the shape of Kafka's ReplicaManager.appendRecords
+// plus one delayed-produce wait. For each of the request's n positions in
+// order, next either names the partition and batch to append or, with a
+// nil partition, returns that position's final result. Every batch is
+// appended before any replication wait runs, so the acks=all round trips
+// of the request's partitions overlap. The waits share one deadline taken
+// when the request arrives: a stalled follower holds the handler for one
+// ProduceTimeout, not one per partition. With acksLeader, partitions
+// without a coordinator append hook skip the wait. Results[i] answers
+// position i.
+func (b *Broker) appendThenWait(n int, acksLeader bool,
+	next func(i int) (*partition, *protocol.RecordBatch, protocol.ProduceResult)) []protocol.ProduceResult {
+	deadline := b.clock.Now().Add(b.cfg.ProduceTimeout)
+	results := make([]protocol.ProduceResult, n)
+	waits := make([]func(time.Time) protocol.ErrorCode, n)
+	for i := range results {
+		p, batch, res := next(i)
 		if p == nil {
-			resp.Results = append(resp.Results, protocol.ProduceResult{
-				TP: e.TP, Err: protocol.ErrUnknownTopicOrPartition,
-			})
+			results[i] = res
 			continue
 		}
-		res, wait := p.appendOnly(b.cfg.ID, e.Batch)
-		resp.Results = append(resp.Results, res)
-		if wait != nil && r.Acks == protocol.AcksLeader && !p.hasAppendHook() {
-			// acks=leader: the append is durable on the leader, so reply
-			// without waiting for replication. Partitions owned by a
-			// coordinator are excluded — their append hook must only fire
-			// once the batch is committed, so they always wait.
+		res, wait := p.appendOnly(b.cfg.ID, batch)
+		results[i] = res
+		if wait != nil && acksLeader && !p.hasAppendHook() {
 			wait = nil
 		}
 		waits[i] = wait
@@ -255,11 +277,11 @@ func (b *Broker) handleProduce(r *protocol.ProduceRequest) *protocol.ProduceResp
 		if wait == nil {
 			continue
 		}
-		if code := wait(); code != protocol.ErrNone {
-			resp.Results[i].Err = code
+		if code := wait(deadline); code != protocol.ErrNone {
+			results[i].Err = code
 		}
 	}
-	return resp
+	return results
 }
 
 // handleFetch assembles the fetch response for every requested
@@ -352,6 +374,8 @@ func (b *Broker) handleLeaderAndISR(r *protocol.LeaderAndISRRequest) *protocol.L
 		p.produceTimeout = b.cfg.ProduceTimeout
 		p.onISRChange = b.forwardISRChange
 		p.appendLat = b.metrics.appendLat
+		p.stalls = b.metrics.replStalls
+		p.obsReg = b.metrics.reg
 		tpLabels := []obs.Label{
 			obs.L("topic", r.TP.Topic),
 			obs.L("partition", strconv.Itoa(int(r.TP.Partition))),
@@ -425,59 +449,55 @@ func (b *Broker) forwardISRChange(tp protocol.TopicPartition, epoch int32, isr [
 	}
 }
 
-// handleWriteTxnMarkers appends control markers to registered partitions,
-// sequentially per broker: markers share the request-handler and log-append
-// path, which is what makes end-to-end latency grow with the number of
-// transactional partitions (paper Section 4.3 / Figure 5.a).
+// handleWriteTxnMarkers appends control markers to registered partitions
+// through the produce path: every marker of the request is appended, one
+// after another on this broker's request handler, and the replication waits
+// then overlap. The sequential appends are what make end-to-end latency
+// grow with the number of transactional partitions (paper Section 4.3 /
+// Figure 5.a); one replication wait per request keeps the follower fetch
+// cycle from being paid once per partition on top.
 func (b *Broker) handleWriteTxnMarkers(r *protocol.WriteTxnMarkersRequest) *protocol.WriteTxnMarkersResponse {
-	resp := &protocol.WriteTxnMarkersResponse{}
-	for _, tp := range r.Partitions {
-		select {
-		case <-b.stopCh:
-			// Broker shutting down: let the coordinator retry elsewhere
-			// after the controller re-elects leaders.
-			resp.Results = append(resp.Results, protocol.ProduceResult{
-				TP: tp, Err: protocol.ErrBrokerUnavailable,
-			})
-			continue
-		default:
-		}
-		p := b.partition(tp)
-		if p == nil {
-			resp.Results = append(resp.Results, protocol.ProduceResult{
-				TP: tp, Err: protocol.ErrUnknownTopicOrPartition,
-			})
-			continue
-		}
-		if b.cfg.Faults != nil && r.Type == protocol.MarkerAbort && b.cfg.Faults.DropAbortMarkers.Load() {
-			// Injected bug: acknowledge the abort marker without writing
-			// it, leaving the aborted range unfenced on the log.
-			resp.Results = append(resp.Results, protocol.ProduceResult{TP: tp})
-			continue
-		}
-		if !p.log.HasOngoing(r.ProducerID) {
-			// No open transaction here (e.g. a marker retry already landed):
-			// acknowledge idempotently.
-			if _, lead := p.leader(); lead {
-				if debugOn {
-					log.Printf("broker %d: marker %v for pid=%d on %v: no ongoing txn, idempotent ack",
-						b.cfg.ID, r.Type, r.ProducerID, tp)
-				}
-				resp.Results = append(resp.Results, protocol.ProduceResult{TP: tp})
-				continue
+	results := b.appendThenWait(len(r.Partitions), false,
+		func(i int) (*partition, *protocol.RecordBatch, protocol.ProduceResult) {
+			tp := r.Partitions[i]
+			select {
+			case <-b.stopCh:
+				// Broker shutting down: let the coordinator retry elsewhere
+				// after the controller re-elects leaders.
+				return nil, nil, protocol.ProduceResult{TP: tp, Err: protocol.ErrBrokerUnavailable}
+			default:
 			}
+			p := b.partition(tp)
+			if p == nil {
+				return nil, nil, protocol.ProduceResult{TP: tp, Err: protocol.ErrUnknownTopicOrPartition}
+			}
+			if b.cfg.Faults != nil && r.Type == protocol.MarkerAbort && b.cfg.Faults.DropAbortMarkers.Load() {
+				// Injected bug: acknowledge the abort marker without writing
+				// it, leaving the aborted range unfenced on the log.
+				return nil, nil, protocol.ProduceResult{TP: tp}
+			}
+			if !p.log.HasOngoing(r.ProducerID) {
+				// No open transaction here (e.g. a marker retry already landed):
+				// acknowledge idempotently.
+				if _, lead := p.leader(); lead {
+					if debugOn {
+						log.Printf("broker %d: marker %v for pid=%d on %v: no ongoing txn, idempotent ack",
+							b.cfg.ID, r.Type, r.ProducerID, tp)
+					}
+					return nil, nil, protocol.ProduceResult{TP: tp}
+				}
+			}
+			return p, protocol.NewMarkerBatch(r.ProducerID, r.ProducerEpoch,
+				b.clock.Now().UnixMilli(),
+				protocol.ControlMarker{Type: r.Type, CoordinatorEpoch: r.CoordinatorEpoch}), protocol.ProduceResult{}
+		})
+	if debugOn {
+		for _, res := range results {
+			log.Printf("broker %d: marker %v for pid=%d on %v: base=%d err=%v",
+				b.cfg.ID, r.Type, r.ProducerID, res.TP, res.BaseOffset, res.Err)
 		}
-		mb := protocol.NewMarkerBatch(r.ProducerID, r.ProducerEpoch,
-			b.clock.Now().UnixMilli(),
-			protocol.ControlMarker{Type: r.Type, CoordinatorEpoch: r.CoordinatorEpoch})
-		res := p.appendAsLeader(b.cfg.ID, mb)
-		if debugOn {
-			log.Printf("broker %d: marker %v for pid=%d on %v: appended base=%d err=%v",
-				b.cfg.ID, r.Type, r.ProducerID, tp, res.BaseOffset, res.Err)
-		}
-		resp.Results = append(resp.Results, res)
 	}
-	return resp
+	return &protocol.WriteTxnMarkersResponse{Results: results}
 }
 
 // replicaLoop drives follower replication: one fetch RPC per leader broker

@@ -17,6 +17,7 @@ type brokerMetrics struct {
 	fetchConsumer   *obs.Histogram // handleFetch serving clients
 	fetchReplica    *obs.Histogram // handleFetch serving follower replication
 	appendLat       *obs.Histogram // leader log append incl. storage delay
+	replStalls      *obs.Counter   // replication waits that timed out
 	rebalances      *obs.Counter   // group generations completed
 	txnCommits      *obs.Counter   // transactions reaching PrepareCommit
 	txnAborts       *obs.Counter   // transactions reaching PrepareAbort
@@ -34,6 +35,7 @@ func newBrokerMetrics(reg *obs.Registry) *brokerMetrics {
 		fetchConsumer:   reg.Histogram("broker_fetch_latency", obs.L("role", "consumer")),
 		fetchReplica:    reg.Histogram("broker_fetch_latency", obs.L("role", "replica")),
 		appendLat:       reg.Histogram("broker_append_latency"),
+		replStalls:      reg.Counter("broker_replication_stalls_total"),
 		rebalances:      reg.Counter("group_rebalances_total"),
 		txnCommits:      reg.Counter("txn_commits_total"),
 		txnAborts:       reg.Counter("txn_aborts_total"),

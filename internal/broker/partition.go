@@ -6,6 +6,7 @@
 package broker
 
 import (
+	"fmt"
 	"log"
 	"sync"
 	"time"
@@ -50,8 +51,9 @@ type partition struct {
 	// replication-stall diagnostics stay meaningful under virtual time.
 	lastFetch map[int32]time.Time
 
-	// produceTimeout bounds acks=all replication waits; zero selects
-	// defaultProduceTimeout.
+	// produceTimeout bounds the acks=all replication waits of
+	// appendAsLeader; zero selects defaultProduceTimeout. Broker requests
+	// carry their own deadline instead.
 	produceTimeout time.Duration
 
 	// appendDelay models storage latency per leader append, paced by the
@@ -65,6 +67,10 @@ type partition struct {
 	hwGauge   *obs.Gauge
 	lsoGauge  *obs.Gauge
 	isrGauge  *obs.Gauge
+	stalls    *obs.Counter
+	// obsReg resolves the flight recorder at stall time: it may be
+	// attached to the registry after the partition is created.
+	obsReg *obs.Registry
 
 	// onAppend, when set by a coordinator that owns this partition, runs
 	// after every successful leader append (data and markers) so the
@@ -233,10 +239,15 @@ func (p *partition) soleReplicaLocked(selfID int32) bool {
 
 // appendAsLeader validates and appends a batch, then waits until it is
 // replicated to the full ISR (acks=all). Returns the assigned base offset.
+// Coordinators use it for their single-record state appends.
 func (p *partition) appendAsLeader(selfID int32, b *protocol.RecordBatch) protocol.ProduceResult {
 	res, wait := p.appendOnly(selfID, b)
 	if wait != nil {
-		if code := wait(); code != protocol.ErrNone {
+		timeout := p.produceTimeout
+		if timeout <= 0 {
+			timeout = defaultProduceTimeout
+		}
+		if code := wait(p.clock.Now().Add(timeout)); code != protocol.ErrNone {
 			res.Err = code
 		}
 	}
@@ -246,12 +257,13 @@ func (p *partition) appendAsLeader(selfID int32, b *protocol.RecordBatch) protoc
 // appendOnly validates and appends a batch without waiting for
 // replication. It returns the produce result and, on success, a wait
 // function that blocks until the batch is committed (high watermark past
-// it) and then fires the coordinator append hook. Multi-partition produce
-// requests append everything first and run the waits afterwards, so the
+// it) or the deadline passes, and then fires the coordinator append hook.
+// Multi-partition requests append everything first and run the waits
+// afterwards against one request deadline (Broker.appendThenWait), so the
 // replication round-trips of independent partitions overlap.
 //
 //kslint:hotpath
-func (p *partition) appendOnly(selfID int32, b *protocol.RecordBatch) (protocol.ProduceResult, func() protocol.ErrorCode) {
+func (p *partition) appendOnly(selfID int32, b *protocol.RecordBatch) (protocol.ProduceResult, func(deadline time.Time) protocol.ErrorCode) {
 	res := protocol.ProduceResult{TP: p.tp}
 	p.mu.Lock()
 	if !p.isLeader || p.stopped {
@@ -287,8 +299,8 @@ func (p *partition) appendOnly(selfID int32, b *protocol.RecordBatch) (protocol.
 	}
 	p.mu.Unlock()
 
-	return res, func() protocol.ErrorCode {
-		if code := p.waitCommitted(selfID, epoch, last); code != protocol.ErrNone {
+	return res, func(deadline time.Time) protocol.ErrorCode {
+		if code := p.waitCommitted(selfID, epoch, last, deadline); code != protocol.ErrNone {
 			return code
 		}
 		p.mu.Lock()
@@ -301,21 +313,17 @@ func (p *partition) appendOnly(selfID int32, b *protocol.RecordBatch) (protocol.
 	}
 }
 
-// waitCommitted blocks until the high watermark passes last.
-func (p *partition) waitCommitted(selfID int32, epoch int32, last int64) protocol.ErrorCode {
+// waitCommitted blocks until the high watermark passes last, or reports
+// ErrRequestTimedOut once deadline has passed.
+func (p *partition) waitCommitted(selfID int32, epoch int32, last int64, deadline time.Time) protocol.ErrorCode {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	timeout := p.produceTimeout
-	if timeout <= 0 {
-		timeout = defaultProduceTimeout
-	}
-	deadline := p.clock.Now().Add(timeout)
 	for p.hw <= last {
 		if !p.isLeader || p.stopped || p.leaderEpoch != epoch {
 			return protocol.ErrNotLeader
 		}
 		if p.clock.Now().After(deadline) {
-			p.logStallLocked(selfID, last)
+			p.recordStallLocked(selfID, last)
 			return protocol.ErrRequestTimedOut
 		}
 		p.waitLocked(deadline)
@@ -323,22 +331,24 @@ func (p *partition) waitCommitted(selfID int32, epoch int32, last int64) protoco
 	return protocol.ErrNone
 }
 
-// logStallLocked snapshots follower state and reports a replication
-// stall. p.mu must be held.
+// recordStallLocked reports a replication wait that timed out: it counts
+// the stall, records a flight event with a snapshot of follower state,
+// and logs the same snapshot in debug mode. p.mu must be held.
 //
-//kslint:coldpath runs once per timed-out produce, never in steady state
-func (p *partition) logStallLocked(selfID int32, last int64) {
-	isr := append([]int32(nil), p.isr...)
-	leo := make(map[int32]int64, len(p.followerLEO))
-	for id, off := range p.followerLEO {
-		leo[id] = off
-	}
+//kslint:coldpath runs once per timed-out replication wait, never in steady state
+func (p *partition) recordStallLocked(selfID int32, last int64) {
+	p.stalls.Inc()
+	now := p.clock.Now()
 	ages := make(map[int32]time.Duration, len(p.lastFetch))
 	for id, at := range p.lastFetch {
-		ages[id] = p.clock.Now().Sub(at).Round(time.Millisecond)
+		ages[id] = now.Sub(at).Round(time.Millisecond)
 	}
-	log.Printf("broker %d: produce to %s timed out waiting for replication: hw=%d last=%d leo=%d isr=%v followerLEO=%v fetchAges=%v",
-		selfID, p.tp, p.hw, last, p.log.EndOffset(), isr, leo, ages)
+	detail := fmt.Sprintf("broker %d: %s hw=%d last=%d leo=%d isr=%v followerLEO=%v fetchAges=%v",
+		selfID, p.tp, p.hw, last, p.log.EndOffset(), p.isr, p.followerLEO, ages)
+	p.obsReg.FlightRecorder().Record("stall", "replication", detail, now.UnixNano(), 0)
+	if debugOn {
+		log.Printf("replication wait timed out: %s", detail)
+	}
 }
 
 // waitLocked blocks on the condition variable with a coarse timeout pulse

@@ -466,8 +466,9 @@ func (tc *txnCoordinator) completeTxn(e *txnEntry, commit bool) {
 		}
 		byBroker := tc.resolveLeaders(pending)
 		// One request per broker, sent in parallel: within a broker the
-		// marker appends are sequential (that per-partition cost is what
-		// Figure 5.a's latency measures), but brokers work concurrently.
+		// marker appends are sequential and followed by one overlapped
+		// replication wait (the per-partition append cost is what Figure
+		// 5.a's latency measures), and brokers work concurrently.
 		type brokerResult struct {
 			tps  []protocol.TopicPartition
 			resp *protocol.WriteTxnMarkersResponse

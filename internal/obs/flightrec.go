@@ -21,7 +21,7 @@ type FlightEvent struct {
 	// records with (virtual nanoseconds under simulation, wall otherwise).
 	TS int64 `json:"ts_ns"`
 	// Kind classifies the event: "span", "trace", "fault", "violation",
-	// "note".
+	// "stall", "note".
 	Kind string `json:"kind"`
 	// Name is the short identity (span name, fault kind, invariant tag).
 	Name string `json:"name"`
